@@ -24,8 +24,9 @@
 //!   of the worker count, of stealing order, and of the shard count.
 //! * [`placed`]: the cross-host traversal state machine behind placed execution — a
 //!   suspended search ([`PlacedState`]) moves between shard hosts as a visited-bitset
-//!   delta plus frontier plus raw RNG state, reproducing the serial oracle byte for
-//!   byte on any placement ([`placed_advance`]).
+//!   delta plus frontier plus raw RNG state, and each host resumes it with the
+//!   `sfo-search` traversal kernel the serial algorithms run, so the placed run
+//!   reproduces the serial oracle byte for byte on any placement ([`placed_advance`]).
 //!
 //! # Example
 //!
@@ -64,7 +65,3 @@ pub use placed::{
 };
 pub use scheduler::{execute, execute_with_scratch, EngineConfig, WorkerPool};
 pub use sharded::{BoundaryEdge, BoundaryTable, CsrShard, ShardedCsr};
-
-// Re-exported so scratch-aware consumers that do not depend on `sfo-search` directly
-// (notably `sfo-sim`'s snapshot query batches) can name the arena type.
-pub use sfo_search::SearchScratch;

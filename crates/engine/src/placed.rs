@@ -13,19 +13,20 @@
 //! The state machine here is transport-agnostic; `sfo-net` wraps [`PlacedState`] in
 //! `ForwardFrontier`/`FrontierResult` frames and routes by [`PlacedState::cursor`].
 //!
-//! Two invariants the implementation leans on:
-//!
-//! * A frontier entry whose TTL is spent is popped *without* reading its neighbor
-//!   row, so expired entries never force a hop — only a genuine expansion does.
-//! * Walk algorithms draw from the RNG only inside `next_hop`, and flood algorithms
-//!   only at fan-out selection, mirroring `sfo-search` line for line; the RNG state
-//!   words travel with the frontier, so a hop is invisible to the stream.
+//! There is no placed copy of any search: [`placed_advance`] imports the state into a
+//! [`SearchScratch`], runs the same `sfo-search` traversal kernel
+//! ([`sfo_search::kernel`]) the serial algorithms run, and exports the state again
+//! when the kernel pauses on a row this host does not own. The kernel drops spent
+//! frontier entries without reading their row, so only a genuine expansion forces a
+//! hop, and the RNG state words travel with the frontier, so a hop is invisible to
+//! the stream.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::Rng;
 use sfo_graph::{NodeId, ShardView};
+use sfo_search::kernel::{self, FanOut, Step, Walk};
 use sfo_search::{SearchOutcome, SearchScratch};
+use std::cell::Cell;
+use std::ops::ControlFlow;
 
 /// Sentinel for "no node" in the wire-width node fields of [`PlacedState`]
 /// (`previous`, and the `from` column of queue entries).
@@ -148,15 +149,6 @@ pub struct StepStats {
     pub entries_cross: u64,
 }
 
-impl StepStats {
-    /// Tallies one owned row: its full length, and how many of its entries leave
-    /// the view.
-    fn scan<V: ShardView + ?Sized>(&mut self, view: &V, row: &[NodeId]) {
-        self.entries_scanned += row.len() as u64;
-        self.entries_cross += row.iter().filter(|next| !view.owns(next.index())).count() as u64;
-    }
-}
-
 /// Builds the initial [`PlacedState`] of one job, mirroring the serial preludes of
 /// `sfo-search`: the source is marked visited (never counted as a hit), floods seed
 /// their queue with `(source, none, 0)`, walks stand at the source. `rng` is the
@@ -192,11 +184,11 @@ pub fn placed_start(
 
 /// Advances a placed search as far as this host's rows allow.
 ///
-/// Runs the exact expansion loop of the serial algorithm over `view`, pausing the
-/// moment it needs a row the view does not own. Returns [`PlacedStep::Done`] with
-/// the final outcome, or [`PlacedStep::Forward`] with the suspended state to resume
-/// on the owner of its [`PlacedState::cursor`]. `stats` accumulates row-scan
-/// tallies across calls.
+/// Imports the state into `scratch`, runs the `sfo-search` traversal kernel over
+/// `view` until it completes or pauses on a row the view does not own, and exports
+/// the state again on a pause. Returns [`PlacedStep::Done`] with the final outcome,
+/// or [`PlacedStep::Forward`] with the suspended state to resume on the owner of its
+/// [`PlacedState::cursor`]. `stats` accumulates row-scan tallies across calls.
 ///
 /// # Panics
 ///
@@ -209,171 +201,124 @@ pub fn placed_advance<V: ShardView + ?Sized>(
     scratch: &mut SearchScratch,
     stats: &mut StepStats,
 ) -> PlacedStep {
+    let stats = Cell::from_mut(stats);
+    let view = Scanning { view, stats };
     let node_count = view.node_count();
     scratch.visited.import_sparse(node_count, &state.visited);
     let mut rng = StdRng::from_state_words(state.rng);
-    let mut hits = state.hits;
-    let mut messages = state.messages;
+    let mut tally = SearchOutcome::new(state.hits as usize, state.messages as usize);
+    let source = NodeId::new(state.source as usize);
 
-    if !state.walk_phase {
+    let mut walk = if state.walk_phase {
+        let walkers = match state.algorithm {
+            PlacedAlgorithm::MultipleRandomWalk { walkers } => walkers,
+            _ => 1,
+        };
+        Walk {
+            source,
+            walkers,
+            budget: state.ttl,
+            walker: state.walker as usize,
+            steps_done: state.steps_done,
+            current: NodeId::new(state.current as usize),
+            previous: decode_from(state.previous),
+        }
+    } else {
+        let fan_out = match state.algorithm {
+            PlacedAlgorithm::Flooding => FanOut::All,
+            PlacedAlgorithm::NormalizedFlooding { k_min }
+            | PlacedAlgorithm::RwNormalizedToNf { k_min } => FanOut::Random(k_min),
+            PlacedAlgorithm::ProbabilisticFlooding { p } => FanOut::Probability(p),
+            PlacedAlgorithm::RandomWalk | PlacedAlgorithm::MultipleRandomWalk { .. } => {
+                panic!("walk algorithms never enter the flood phase")
+            }
+        };
+        let queue = state
+            .queue
+            .iter()
+            .map(|&(node, from, depth)| (NodeId::new(node as usize), decode_from(from), depth));
         scratch.queue.clear();
-        scratch.queue.extend(
-            state
+        scratch.queue.extend(queue);
+        let ignore = |_, _, _| {};
+        let step = kernel::flood(
+            &view, fan_out, state.ttl, scratch, &mut tally, &mut rng, ignore,
+        );
+        if let Step::NeedRow(_) = step {
+            state.queue = scratch
                 .queue
                 .iter()
-                .map(|&(node, from, depth)| (NodeId::new(node as usize), decode_from(from), depth)),
-        );
-        let ttl = state.ttl;
-        while let Some((node, from, depth)) = scratch.queue.pop_front() {
-            if depth >= ttl {
-                // Spent entries pop anywhere: no row read, no RNG, no hop.
-                continue;
-            }
-            if !view.owns(node.index()) {
-                scratch.queue.push_front((node, from, depth));
-                state.hits = hits;
-                state.messages = messages;
-                state.rng = rng.state_words();
-                state.visited = scratch.visited.export_sparse();
-                state.queue = scratch
-                    .queue
-                    .iter()
-                    .map(|&(n, f, d)| (n.as_u32(), encode_from(f), d))
-                    .collect();
-                return PlacedStep::Forward(state);
-            }
-            let row = view.neighbors(node);
-            stats.scan(view, row);
-            match state.algorithm {
-                PlacedAlgorithm::Flooding => {
-                    for &next in row {
-                        if Some(next) == from {
-                            continue;
-                        }
-                        messages += 1;
-                        if scratch.visited.insert(next.index()) {
-                            hits += 1;
-                            scratch.queue.push_back((next, Some(node), depth + 1));
-                        }
-                    }
-                }
-                PlacedAlgorithm::NormalizedFlooding { k_min }
-                | PlacedAlgorithm::RwNormalizedToNf { k_min } => {
-                    scratch.candidates.clear();
-                    scratch
-                        .candidates
-                        .extend(row.iter().copied().filter(|&n| Some(n) != from));
-                    let targets: &[NodeId] = if scratch.candidates.len() > k_min {
-                        scratch.candidates.partial_shuffle(&mut rng, k_min).0
-                    } else {
-                        &scratch.candidates
-                    };
-                    for &next in targets {
-                        messages += 1;
-                        if scratch.visited.insert(next.index()) {
-                            hits += 1;
-                            scratch.queue.push_back((next, Some(node), depth + 1));
-                        }
-                    }
-                }
-                PlacedAlgorithm::ProbabilisticFlooding { p } => {
-                    for &next in row {
-                        if Some(next) == from {
-                            continue;
-                        }
-                        if depth > 0 && rng.gen::<f64>() >= p {
-                            continue;
-                        }
-                        messages += 1;
-                        if scratch.visited.insert(next.index()) {
-                            hits += 1;
-                            scratch.queue.push_back((next, Some(node), depth + 1));
-                        }
-                    }
-                }
-                PlacedAlgorithm::RandomWalk | PlacedAlgorithm::MultipleRandomWalk { .. } => {
-                    panic!("walk algorithms never enter the flood phase")
-                }
-            }
+                .map(|&(n, f, d)| (n.as_u32(), encode_from(f), d))
+                .collect();
+            return export(state, scratch, tally, rng);
         }
         // The flood drained. For RW/NF its message count becomes the walk budget and
         // the walk restarts from the source with a fresh visited set (the outcome is
         // the walk's alone), exactly as the serial two-phase job does.
-        if let PlacedAlgorithm::RwNormalizedToNf { .. } = state.algorithm {
-            state.ttl = u32::try_from(messages).unwrap_or(u32::MAX);
-            hits = 0;
-            messages = 0;
-            scratch.visited.reset(node_count);
-            scratch.visited.insert(state.source as usize);
-            state.walk_phase = true;
-            state.current = state.source;
-            state.previous = NO_NODE;
-            state.walker = 0;
-            state.steps_done = 0;
-        } else {
-            return PlacedStep::Done(SearchOutcome::new(hits as usize, messages as usize));
-        }
+        let PlacedAlgorithm::RwNormalizedToNf { .. } = state.algorithm else {
+            return PlacedStep::Done(tally);
+        };
+        state.walk_phase = true;
+        state.ttl = u32::try_from(tally.messages).unwrap_or(u32::MAX);
+        tally = SearchOutcome::default();
+        scratch.start(node_count, source);
+        Walk::new(source, 1, state.ttl)
+    };
+
+    let go_on = |_, _, _| ControlFlow::Continue(());
+    let step = kernel::walk(&view, &mut walk, scratch, &mut tally, &mut rng, go_on);
+    if let Step::Done = step {
+        return PlacedStep::Done(tally);
+    }
+    // A paused walker has hops left, so its index is below the u32 budget.
+    state.walker = walk.walker as u32;
+    state.steps_done = walk.steps_done;
+    state.current = walk.current.as_u32();
+    state.previous = encode_from(walk.previous);
+    state.queue = Vec::new();
+    export(state, scratch, tally, rng)
+}
+
+/// Writes the kernel's counters, visited set and RNG stream back into a paused state.
+fn export(
+    mut state: PlacedState,
+    scratch: &SearchScratch,
+    tally: SearchOutcome,
+    rng: StdRng,
+) -> PlacedStep {
+    state.hits = tally.hits as u64;
+    state.messages = tally.messages as u64;
+    state.rng = rng.state_words();
+    state.visited = scratch.visited.export_sparse();
+    PlacedStep::Forward(state)
+}
+
+/// A view that tallies every row the kernel reads into [`StepStats`].
+struct Scanning<'a, V: ?Sized> {
+    view: &'a V,
+    stats: &'a Cell<StepStats>,
+}
+
+impl<V: ShardView + ?Sized> ShardView for Scanning<'_, V> {
+    fn node_count(&self) -> usize {
+        self.view.node_count()
     }
 
-    // Walk phase. The budget is split across walkers exactly as MultipleRandomWalk
-    // splits it (RW and the RW/NF walk are the one-walker case).
-    let walkers = match state.algorithm {
-        PlacedAlgorithm::MultipleRandomWalk { walkers } => walkers as u64,
-        _ => 1,
-    };
-    let budget = u64::from(state.ttl);
-    let base = budget / walkers;
-    let remainder = budget % walkers;
-    loop {
-        if u64::from(state.walker) >= walkers {
-            return PlacedStep::Done(SearchOutcome::new(hits as usize, messages as usize));
-        }
-        let steps = base + u64::from(u64::from(state.walker) < remainder);
-        if u64::from(state.steps_done) >= steps {
-            state.walker += 1;
-            state.current = state.source;
-            state.previous = NO_NODE;
-            state.steps_done = 0;
-            continue;
-        }
-        if !view.owns(state.current as usize) {
-            state.hits = hits;
-            state.messages = messages;
-            state.rng = rng.state_words();
-            state.visited = scratch.visited.export_sparse();
-            state.queue = Vec::new();
-            return PlacedStep::Forward(state);
-        }
-        let row = view.neighbors(NodeId::new(state.current as usize));
-        stats.scan(view, row);
-        let previous = decode_from(state.previous);
-        // next_hop, line for line: degree 0 ends the walker, degree 1 bounces back
-        // RNG-free, otherwise rejection-sample a neighbor that is not the previous
-        // hop.
-        let next = match row.len() {
-            0 => None,
-            1 => Some(row[0]),
-            _ => loop {
-                let candidate = row[rng.gen_range(0..row.len())];
-                if Some(candidate) != previous {
-                    break Some(candidate);
-                }
-            },
-        };
-        let Some(next) = next else {
-            state.walker += 1;
-            state.current = state.source;
-            state.previous = NO_NODE;
-            state.steps_done = 0;
-            continue;
-        };
-        messages += 1;
-        if scratch.visited.insert(next.index()) {
-            hits += 1;
-        }
-        state.previous = state.current;
-        state.current = next.as_u32();
-        state.steps_done += 1;
+    fn edge_count(&self) -> usize {
+        self.view.edge_count()
+    }
+
+    fn owns(&self, index: usize) -> bool {
+        self.view.owns(index)
+    }
+
+    fn neighbors(&self, node: NodeId) -> &[NodeId] {
+        let row = self.view.neighbors(node);
+        let cross = row.iter().filter(|next| !self.view.owns(next.index()));
+        let mut stats = self.stats.get();
+        stats.entries_scanned += row.len() as u64;
+        stats.entries_cross += cross.count() as u64;
+        self.stats.set(stats);
+        row
     }
 }
 

@@ -454,30 +454,6 @@ impl GraphView for ShardedCsr {
     }
 }
 
-impl sfo_graph::ShardView for ShardedCsr {
-    #[inline]
-    fn node_count(&self) -> usize {
-        ShardedCsr::node_count(self)
-    }
-
-    #[inline]
-    fn edge_count(&self) -> usize {
-        ShardedCsr::edge_count(self)
-    }
-
-    /// A whole-snapshot store owns every row, so a placed traversal running against
-    /// it never forwards — `placed_advance` completes any frontier in one call.
-    #[inline]
-    fn owns(&self, index: usize) -> bool {
-        index < ShardedCsr::node_count(self)
-    }
-
-    #[inline]
-    fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        ShardedCsr::neighbors(self, node)
-    }
-}
-
 impl From<&CsrGraph> for ShardedCsr {
     /// A single-shard view of the snapshot.
     fn from(csr: &CsrGraph) -> Self {

@@ -26,7 +26,7 @@ use sfo_graph::{centrality, correlations, kcore, metrics, traversal};
 use sfo_scenario::{ScenarioSpec, SearchSpec, SweepMetric, SweepSpec, TopologySpec};
 use sfo_sim::catalog::Catalog;
 use sfo_sim::overlay::{JoinStrategy, OverlayConfig, OverlayNetwork};
-use sfo_sim::query::{run_query, QueryMethod};
+use sfo_sim::query::{QueryMethod, QuerySnapshot};
 use sfo_sim::replication::{allocate, expected_search_size, place, ReplicationStrategy};
 
 fn cutoff_label(cutoff: DegreeCutoff) -> String {
@@ -251,20 +251,23 @@ pub fn replication(scale: &Scale, seed: u64) -> ExperimentOutput {
         let allocation = allocate(&catalog, strategy, budget).expect("budget covers the catalog");
         place(&mut overlay, &allocation, &mut rng).expect("overlay is non-empty");
 
+        // The overlay is fixed during the query loop, so one snapshot serves every query.
+        let snapshot = QuerySnapshot::capture(&overlay);
         let mut successes = 0usize;
         let mut messages = 0usize;
         for _ in 0..queries {
             let source = overlay.random_peer(&mut rng).expect("overlay is non-empty");
             let item = catalog.sample_query(&mut rng);
-            let outcome = run_query(
-                &overlay,
-                QueryMethod::NormalizedFlooding { k_min: 3 },
-                source,
-                item,
-                ttl,
-                &mut rng,
-            )
-            .expect("query parameters are valid");
+            let outcome = snapshot
+                .run_query(
+                    &overlay,
+                    QueryMethod::NormalizedFlooding { k_min: 3 },
+                    source,
+                    item,
+                    ttl,
+                    &mut rng,
+                )
+                .expect("query parameters are valid");
             if outcome.found {
                 successes += 1;
             }

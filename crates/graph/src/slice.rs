@@ -6,11 +6,11 @@
 //! from. Targets stay global [`NodeId`]s — a slice can tell that a neighbor exists and
 //! which node it is, but it can only enumerate the neighbor rows of the nodes it owns.
 //!
-//! [`ShardView`] is the read interface placed traversals run against: the whole
-//! snapshot ([`CsrGraph`] owns every row) and a shard slice implement it identically
-//! over the rows they hold, so the same traversal code runs single-host and placed.
+//! [`ShardView`] is the read interface traversals run against: every whole graph (any
+//! [`GraphView`] owns every row) and a shard slice implement it identically over the
+//! rows they hold, so the same traversal code runs single-host and placed.
 
-use crate::{CsrGraph, GraphError, NodeId};
+use crate::{CsrGraph, GraphError, GraphView, NodeId};
 use std::ops::Range;
 
 /// A read view over some (possibly all) rows of a frozen snapshot.
@@ -37,25 +37,27 @@ pub trait ShardView {
     fn neighbors(&self, node: NodeId) -> &[NodeId];
 }
 
-impl ShardView for CsrGraph {
+/// Every whole graph is a view owning all of its rows, so the same traversal code runs
+/// on a [`Graph`](crate::Graph), a [`CsrGraph`], or any other [`GraphView`] backend.
+impl<G: GraphView + ?Sized> ShardView for G {
     #[inline]
     fn node_count(&self) -> usize {
-        CsrGraph::node_count(self)
+        GraphView::node_count(self)
     }
 
     #[inline]
     fn edge_count(&self) -> usize {
-        CsrGraph::edge_count(self)
+        GraphView::edge_count(self)
     }
 
     #[inline]
     fn owns(&self, index: usize) -> bool {
-        index < CsrGraph::node_count(self)
+        index < GraphView::node_count(self)
     }
 
     #[inline]
     fn neighbors(&self, node: NodeId) -> &[NodeId] {
-        CsrGraph::neighbors(self, node)
+        GraphView::neighbors(self, node)
     }
 }
 
@@ -84,12 +86,14 @@ pub struct CsrSlice {
 impl CsrSlice {
     /// Assembles a slice from its raw columns, validating every structural invariant:
     /// a sane range, a rebased offsets column of the right length starting at zero and
-    /// nondecreasing up to `targets.len()`, and every target inside the global id
-    /// space.
+    /// nondecreasing up to `targets.len()`, every target inside the global id space,
+    /// and simple rows (no self-loop, no repeated target).
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::InvalidParameter`] naming the violated invariant.
+    /// Returns [`GraphError::SelfLoop`] for a row naming its own node,
+    /// [`GraphError::DuplicateEdge`] for a row naming a target twice, and
+    /// [`GraphError::InvalidParameter`] naming any other violated invariant.
     pub fn from_parts(
         range: Range<usize>,
         node_count: usize,
@@ -120,6 +124,25 @@ impl CsrSlice {
         }
         if targets.len() > edge_count.saturating_mul(2) {
             return Err(invalid("shard slice holds more entries than the snapshot"));
+        }
+        // A simple graph's row never names its own node or a neighbor twice; the walk's
+        // hop rule relies on the latter to terminate.
+        let mut sorted = Vec::new();
+        for (local, bounds) in offsets.windows(2).enumerate() {
+            let node = NodeId::new(range.start + local);
+            let row = &targets[bounds[0] as usize..bounds[1] as usize];
+            if row.contains(&node) {
+                return Err(GraphError::SelfLoop { node });
+            }
+            sorted.clear();
+            sorted.extend_from_slice(row);
+            sorted.sort_unstable();
+            if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(GraphError::DuplicateEdge {
+                    a: node,
+                    b: pair[0],
+                });
+            }
         }
         Ok(CsrSlice {
             start: range.start,
@@ -306,6 +329,22 @@ mod tests {
         assert!(CsrSlice::from_parts(1..4, 6, 5, offsets.clone(), wild).is_err());
         // More entries than the snapshot has.
         assert!(CsrSlice::from_parts(1..4, 6, 2, offsets, targets).is_err());
+    }
+
+    #[test]
+    fn rows_with_a_self_loop_are_rejected() {
+        // Node 1's row names node 1 itself.
+        let n = NodeId::new;
+        let slice = CsrSlice::from_parts(1..2, 3, 2, vec![0, 2], vec![n(0), n(1)]);
+        assert_eq!(slice, Err(GraphError::SelfLoop { node: n(1) }));
+    }
+
+    #[test]
+    fn rows_with_a_repeated_target_are_rejected() {
+        // Node 0's row names node 1 twice: a walk arriving from 1 could never leave.
+        let n = NodeId::new;
+        let slice = CsrSlice::from_parts(0..1, 3, 2, vec![0, 2], vec![n(1), n(1)]);
+        assert_eq!(slice, Err(GraphError::DuplicateEdge { a: n(0), b: n(1) }));
     }
 
     #[test]

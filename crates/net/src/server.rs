@@ -52,13 +52,13 @@ use crate::stream::{NetListener, NetStream};
 use crate::NetError;
 use sfo_engine::{
     batched_rw_normalized_to_nf_range, batched_ttl_sweep_range, placed_advance, run_queries_offset,
-    AlgorithmTable, EngineConfig, PlacedState, PlacedStep, SearchScratch, ShardedCsr, StepStats,
-    WorkerPool,
+    AlgorithmTable, EngineConfig, PlacedState, PlacedStep, ShardedCsr, StepStats, WorkerPool,
 };
 use sfo_graph::snapshot::{read_identity, Provenance, SnapshotFile};
 use sfo_graph::{CsrSlice, ShardView};
 use sfo_obs::{PhaseTimer, Registry};
 use sfo_scenario::spec::BuiltSearch;
+use sfo_search::SearchScratch;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};

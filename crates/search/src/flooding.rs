@@ -6,6 +6,7 @@
 //! but the duplicate transmissions still count as messages — this is exactly the "large
 //! number of messages" downside the paper attributes to FL.
 
+use crate::kernel::{self, FanOut};
 use crate::{SearchAlgorithm, SearchInfo, SearchOutcome, SearchScratch};
 use rand::RngCore;
 use sfo_graph::{GraphView, NodeId};
@@ -42,10 +43,6 @@ impl Flooding {
 
 impl<G: GraphView + ?Sized> SearchAlgorithm<G> for Flooding {
     fn search(&self, graph: &G, source: NodeId, ttl: u32, rng: &mut dyn RngCore) -> SearchOutcome {
-        assert!(
-            graph.contains_node(source),
-            "flood source {source} out of bounds"
-        );
         // Fresh-allocation path: the frontier starts at the first round's size
         // instead of reallocating up the whole growth curve from empty.
         let mut scratch = SearchScratch::for_search(graph, source);
@@ -57,39 +54,10 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for Flooding {
         graph: &G,
         source: NodeId,
         ttl: u32,
-        _rng: &mut dyn RngCore,
+        rng: &mut dyn RngCore,
         scratch: &mut SearchScratch,
     ) -> SearchOutcome {
-        assert!(
-            graph.contains_node(source),
-            "flood source {source} out of bounds"
-        );
-        let visited = &mut scratch.visited;
-        visited.reset(graph.node_count());
-        visited.insert(source.index());
-        let mut messages = 0usize;
-        let mut hits = 0usize;
-        // Queue of peers that still have to forward the query: (peer, previous hop, depth).
-        let queue = &mut scratch.queue;
-        queue.clear();
-        queue.push_back((source, None, 0));
-
-        while let Some((node, from, depth)) = queue.pop_front() {
-            if depth >= ttl {
-                continue;
-            }
-            for &next in graph.neighbors(node) {
-                if Some(next) == from {
-                    continue;
-                }
-                messages += 1;
-                if visited.insert(next.index()) {
-                    hits += 1;
-                    queue.push_back((next, Some(node), depth + 1));
-                }
-            }
-        }
-        SearchOutcome { hits, messages }
+        kernel::flood_from(graph, source, ttl, FanOut::All, rng, scratch, |_, _, _| {})
     }
 }
 

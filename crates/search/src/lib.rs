@@ -11,6 +11,10 @@
 //! * [`random_walk`] — Random Walk (RW) and multiple parallel walks: one message hops
 //!   through the network, trading delivery time for minimal traffic.
 //!
+//! All of these, and probabilistic flooding below, are thin drivers over [`kernel`]: the
+//! one resumable flood loop and walk loop that placed execution (`sfo-engine`) and the
+//! simulator's item lookups (`sfo-sim`) run as well.
+//!
 //! Beyond the paper's three algorithms, the crate implements the practical variants its
 //! related-work section points to, so they can be compared on the same topologies:
 //!
@@ -52,6 +56,7 @@ pub mod coverage;
 pub mod expanding_ring;
 pub mod experiment;
 pub mod flooding;
+pub mod kernel;
 pub mod normalized;
 pub mod probabilistic;
 pub mod random_walk;

@@ -7,10 +7,11 @@
 //! launches several walkers that share a hop budget, which the paper mentions as the way to
 //! make RW behave more like NF.
 
+use crate::kernel::{self, Walk};
 use crate::{SearchAlgorithm, SearchInfo, SearchOutcome, SearchScratch};
-use rand::Rng;
 use rand::RngCore;
 use sfo_graph::{GraphView, NodeId};
+use std::ops::ControlFlow;
 
 /// Single random-walk search.
 ///
@@ -43,27 +44,6 @@ impl RandomWalk {
     }
 }
 
-/// Picks the next hop: a uniformly random neighbor excluding the previous hop, falling back
-/// to the previous hop when it is the only neighbor. Returns `None` at a dead end.
-fn next_hop<G: GraphView + ?Sized, R: Rng + ?Sized>(
-    graph: &G,
-    node: NodeId,
-    previous: Option<NodeId>,
-    rng: &mut R,
-) -> Option<NodeId> {
-    let neighbors = graph.neighbors(node);
-    match neighbors.len() {
-        0 => None,
-        1 => Some(neighbors[0]),
-        _ => loop {
-            let candidate = neighbors[rng.gen_range(0..neighbors.len())];
-            if Some(candidate) != previous {
-                break Some(candidate);
-            }
-        },
-    }
-}
-
 impl<G: GraphView + ?Sized> SearchAlgorithm<G> for RandomWalk {
     fn search(&self, graph: &G, source: NodeId, ttl: u32, rng: &mut dyn RngCore) -> SearchOutcome {
         let mut scratch = SearchScratch::new();
@@ -78,29 +58,10 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for RandomWalk {
         rng: &mut dyn RngCore,
         scratch: &mut SearchScratch,
     ) -> SearchOutcome {
-        assert!(
-            graph.contains_node(source),
-            "rw source {source} out of bounds"
-        );
-        let visited = &mut scratch.visited;
-        visited.reset(graph.node_count());
-        visited.insert(source.index());
-        let mut hits = 0usize;
-        let mut messages = 0usize;
-        let mut current = source;
-        let mut previous: Option<NodeId> = None;
-        for _ in 0..ttl {
-            let Some(next) = next_hop(graph, current, previous, rng) else {
-                break;
-            };
-            messages += 1;
-            if visited.insert(next.index()) {
-                hits += 1;
-            }
-            previous = Some(current);
-            current = next;
-        }
-        SearchOutcome { hits, messages }
+        let walk = Walk::new(source, 1, ttl);
+        kernel::walk_from(graph, walk, rng, scratch, |_, _, _| {
+            ControlFlow::Continue(())
+        })
     }
 }
 
@@ -151,35 +112,10 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for MultipleRandomWalk {
         rng: &mut dyn RngCore,
         scratch: &mut SearchScratch,
     ) -> SearchOutcome {
-        assert!(
-            graph.contains_node(source),
-            "rw source {source} out of bounds"
-        );
-        let visited = &mut scratch.visited;
-        visited.reset(graph.node_count());
-        visited.insert(source.index());
-        let mut hits = 0usize;
-        let mut messages = 0usize;
-        let budget = ttl as usize;
-        let base = budget / self.walkers;
-        let remainder = budget % self.walkers;
-        for w in 0..self.walkers {
-            let steps = base + usize::from(w < remainder);
-            let mut current = source;
-            let mut previous: Option<NodeId> = None;
-            for _ in 0..steps {
-                let Some(next) = next_hop(graph, current, previous, rng) else {
-                    break;
-                };
-                messages += 1;
-                if visited.insert(next.index()) {
-                    hits += 1;
-                }
-                previous = Some(current);
-                current = next;
-            }
-        }
-        SearchOutcome { hits, messages }
+        let walk = Walk::new(source, self.walkers, ttl);
+        kernel::walk_from(graph, walk, rng, scratch, |_, _, _| {
+            ControlFlow::Continue(())
+        })
     }
 }
 
@@ -231,7 +167,8 @@ mod tests {
     fn walk_turns_around_at_a_dead_end() {
         let g = path_graph(3);
         let o = RandomWalk::new().search(&g, NodeId::new(0), 4, &mut rng(3));
-        // 0 -> 1 -> 2 -> back to 1 -> back to... wait, from 1 the previous is 2 so it goes to 0.
+        // 0 -> 1 -> 2 -> 1 -> 0: the degree-1 end bounces the walk back and the middle
+        // node never backtracks, so hits = 2 and messages = 4.
         assert_eq!(o.messages, 4);
         assert_eq!(o.hits, 2);
     }

@@ -142,9 +142,9 @@ impl VisitedSet {
 /// previous job (even of a different algorithm, or on a different graph) is
 /// indistinguishable from a fresh one. `sfo-engine` keeps one per pool worker.
 ///
-/// The buffers are public so scratch-aware traversals outside this crate (the
-/// simulator's snapshot query batches) can reuse them under the same contract:
-/// reset what you use on entry, leave whatever you like behind.
+/// The buffers are public so placed execution (`sfo-engine`) can import a suspended
+/// search into them before resuming the [`kernel`](crate::kernel) and export it again
+/// when the kernel pauses.
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
     /// Visited marks, reset per search.
@@ -167,7 +167,9 @@ impl SearchScratch {
     /// reallocating up the whole growth curve from zero.
     pub fn for_search<G: GraphView + ?Sized>(graph: &G, source: NodeId) -> Self {
         let average = (2 * graph.edge_count()) / graph.node_count().max(1);
-        let estimate = graph.degree(source).max(average) + 1;
+        // An out-of-range source is left for the search itself to reject.
+        let degree = graph.contains_node(source).then(|| graph.degree(source));
+        let estimate = degree.unwrap_or(0).max(average) + 1;
         let mut scratch = SearchScratch {
             visited: VisitedSet::new(),
             queue: VecDeque::with_capacity(estimate),
@@ -175,6 +177,24 @@ impl SearchScratch {
         };
         scratch.visited.reset(graph.node_count());
         scratch
+    }
+
+    /// Resets the arena for a traversal from `source` over `node_count` nodes: the
+    /// source is the only visited node (it never counts as a hit) and the frontier
+    /// holds just `(source, no previous hop, depth 0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is not below `node_count`.
+    pub fn start(&mut self, node_count: usize, source: NodeId) {
+        assert!(
+            source.index() < node_count,
+            "search source {source} out of bounds"
+        );
+        self.visited.reset(node_count);
+        self.visited.insert(source.index());
+        self.queue.clear();
+        self.queue.push_back((source, None, 0));
     }
 }
 

@@ -6,20 +6,23 @@
 //! keep propagating until their TTL expires (independent branches cannot be stopped, as the
 //! paper notes for FL), whereas a random walk terminates as soon as it finds a replica.
 //!
-//! Queries come in two flavors: [`run_query`] walks the live overlay directly (hash-map
-//! adjacency, right for one-off lookups), while [`QuerySnapshot`] freezes the overlay
-//! into a CSR [`CsrGraph`] once and serves a whole batch of queries from the flat
-//! snapshot — the build-once/query-many split the simulation uses between churn events.
+//! Every lookup runs on a [`QuerySnapshot`]: the overlay frozen into a CSR [`CsrGraph`]
+//! once and then served many queries from the flat snapshot — the build-once/query-many
+//! split the simulation uses between churn events. [`run_query`] is the one-off form,
+//! capturing a snapshot for a single lookup. The traversals themselves are the
+//! `sfo-search` kernel's flood and walk loops ([`sfo_search::kernel`]); a lookup only
+//! adds a visitor that checks each reached peer for a replica.
 
 use crate::catalog::ItemId;
 use crate::overlay::{OverlayNetwork, PeerId};
 use crate::{Result, SimError};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use sfo_engine::SearchScratch;
 use sfo_graph::{CsrGraph, NodeId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use sfo_search::kernel::{self, FanOut, Walk};
+use sfo_search::SearchScratch;
+use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 /// Which lookup algorithm a query uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,7 +62,8 @@ pub struct QueryOutcome {
     pub peers_probed: usize,
 }
 
-/// Runs one item lookup from `source`.
+/// Runs one item lookup from `source`: captures a [`QuerySnapshot`] of the overlay and
+/// serves the lookup from it.
 ///
 /// # Errors
 ///
@@ -73,120 +77,7 @@ pub fn run_query<R: Rng + ?Sized>(
     ttl: u32,
     rng: &mut R,
 ) -> Result<QueryOutcome> {
-    if !overlay.contains(source) {
-        return Err(SimError::UnknownPeer { peer: source.raw() });
-    }
-    match method {
-        QueryMethod::Flooding => Ok(flood_query(overlay, source, item, ttl, None, rng)),
-        QueryMethod::NormalizedFlooding { k_min } => {
-            if k_min == 0 {
-                return Err(SimError::InvalidConfig {
-                    reason: "normalized flooding fan-out must be positive",
-                });
-            }
-            Ok(flood_query(overlay, source, item, ttl, Some(k_min), rng))
-        }
-        QueryMethod::RandomWalk => Ok(walk_query(overlay, source, item, ttl, rng)),
-    }
-}
-
-/// Flooding (optionally fan-out-limited) lookup.
-fn flood_query<R: Rng + ?Sized>(
-    overlay: &OverlayNetwork,
-    source: PeerId,
-    item: ItemId,
-    ttl: u32,
-    fan_out: Option<usize>,
-    rng: &mut R,
-) -> QueryOutcome {
-    // The source checks its own store first; that costs no messages.
-    if overlay.holds_item(source, item) {
-        return QueryOutcome {
-            found: true,
-            hops_to_find: Some(0),
-            messages: 0,
-            peers_probed: 0,
-        };
-    }
-    let mut outcome = QueryOutcome::default();
-    let mut visited: HashSet<PeerId> = HashSet::from([source]);
-    let mut queue: VecDeque<(PeerId, Option<PeerId>, u32)> = VecDeque::new();
-    queue.push_back((source, None, 0));
-    let mut scratch: Vec<PeerId> = Vec::new();
-
-    while let Some((peer, from, depth)) = queue.pop_front() {
-        if depth >= ttl {
-            continue;
-        }
-        let neighbors = overlay.neighbors(peer).expect("queued peers are alive");
-        scratch.clear();
-        scratch.extend(neighbors.iter().copied().filter(|&n| Some(n) != from));
-        let targets: &[PeerId] = match fan_out {
-            Some(k) if scratch.len() > k => scratch.partial_shuffle(rng, k).0,
-            _ => &scratch,
-        };
-        for &next in targets {
-            outcome.messages += 1;
-            if visited.insert(next) {
-                outcome.peers_probed += 1;
-                if overlay.holds_item(next, item) && !outcome.found {
-                    outcome.found = true;
-                    outcome.hops_to_find = Some(depth + 1);
-                }
-                queue.push_back((next, Some(peer), depth + 1));
-            }
-        }
-    }
-    outcome
-}
-
-/// Random-walk lookup that terminates on the first replica found.
-fn walk_query<R: Rng + ?Sized>(
-    overlay: &OverlayNetwork,
-    source: PeerId,
-    item: ItemId,
-    ttl: u32,
-    rng: &mut R,
-) -> QueryOutcome {
-    if overlay.holds_item(source, item) {
-        return QueryOutcome {
-            found: true,
-            hops_to_find: Some(0),
-            messages: 0,
-            peers_probed: 0,
-        };
-    }
-    let mut outcome = QueryOutcome::default();
-    let mut visited: HashSet<PeerId> = HashSet::from([source]);
-    let mut current = source;
-    let mut previous: Option<PeerId> = None;
-    for hop in 1..=ttl {
-        let neighbors = overlay
-            .neighbors(current)
-            .expect("walk stays on live peers");
-        let next = match neighbors.len() {
-            0 => break,
-            1 => neighbors[0],
-            _ => loop {
-                let candidate = neighbors[rng.gen_range(0..neighbors.len())];
-                if Some(candidate) != previous {
-                    break candidate;
-                }
-            },
-        };
-        outcome.messages += 1;
-        if visited.insert(next) {
-            outcome.peers_probed += 1;
-        }
-        if overlay.holds_item(next, item) {
-            outcome.found = true;
-            outcome.hops_to_find = Some(hop);
-            break;
-        }
-        previous = Some(current);
-        current = next;
-    }
-    outcome
+    QuerySnapshot::capture(overlay).run_query(overlay, method, source, item, ttl, rng)
 }
 
 /// A frozen CSR view of the overlay topology for serving query batches.
@@ -213,8 +104,8 @@ impl QuerySnapshot {
     ///
     /// One O(peers + links) pass, straight from the live adjacency into the CSR arrays
     /// (no intermediate [`Graph`](sfo_graph::Graph)). Per-peer neighbor order is
-    /// preserved, so queries served from the snapshot consume the same RNG stream as
-    /// [`run_query`] on the live overlay.
+    /// preserved, so a lookup consumes the same RNG stream as it would walking the live
+    /// adjacency.
     pub fn capture(overlay: &OverlayNetwork) -> Self {
         let peers: Vec<PeerId> = overlay.peers().collect();
         let index: HashMap<PeerId, NodeId> = peers
@@ -254,9 +145,8 @@ impl QuerySnapshot {
     /// Runs one item lookup from `source` over the frozen topology; item placement is
     /// read live from `overlay`.
     ///
-    /// For a fixed RNG state this returns the same outcome as [`run_query`] up to
-    /// neighbor enumeration order (the snapshot lists each peer's links in roster order
-    /// rather than link-creation order).
+    /// For a fixed RNG state this returns exactly the outcome of [`run_query`] on the
+    /// same overlay: that function captures a snapshot and calls this one.
     ///
     /// # Errors
     ///
@@ -276,19 +166,14 @@ impl QuerySnapshot {
             .index
             .get(&source)
             .ok_or(SimError::UnknownPeer { peer: source.raw() })?;
-        let holds = |node: NodeId| overlay.holds_item(self.peers[node.index()], item);
-        match method {
-            QueryMethod::Flooding => Ok(self.flood(source, ttl, None, holds, rng)),
-            QueryMethod::NormalizedFlooding { k_min } => {
-                if k_min == 0 {
-                    return Err(SimError::InvalidConfig {
-                        reason: "normalized flooding fan-out must be positive",
-                    });
-                }
-                Ok(self.flood(source, ttl, Some(k_min), holds, rng))
-            }
-            QueryMethod::RandomWalk => Ok(self.walk(source, ttl, holds, rng)),
+        if let QueryMethod::NormalizedFlooding { k_min: 0 } = method {
+            return Err(SimError::InvalidConfig {
+                reason: "normalized flooding fan-out must be positive",
+            });
         }
+        let holds = |node: NodeId| overlay.holds_item(self.peers[node.index()], item);
+        let mut scratch = SearchScratch::for_search(&self.graph, source);
+        Ok(self.lookup(method, source, ttl, holds, rng, &mut scratch))
     }
 
     /// Runs a whole batch of independent lookups over the frozen topology, fanned across
@@ -343,22 +228,7 @@ impl QuerySnapshot {
             |i, rng, scratch| {
                 let query = &queries[i];
                 let holds = |node: NodeId| overlay.holds_item(self.peers[node.index()], query.item);
-                match method {
-                    QueryMethod::Flooding => {
-                        self.flood_with_scratch(sources[i], query.ttl, None, holds, rng, scratch)
-                    }
-                    QueryMethod::NormalizedFlooding { k_min } => self.flood_with_scratch(
-                        sources[i],
-                        query.ttl,
-                        Some(k_min),
-                        holds,
-                        rng,
-                        scratch,
-                    ),
-                    QueryMethod::RandomWalk => {
-                        self.walk_with_scratch(sources[i], query.ttl, holds, rng, scratch)
-                    }
-                }
+                self.lookup(method, sources[i], query.ttl, holds, rng, scratch)
             },
         ))
     }
@@ -367,91 +237,13 @@ impl QuerySnapshot {
     /// scoped worker threads costs more than a handful of lookups.
     pub const PARALLEL_BATCH_MIN: usize = 16;
 
-    fn flood<R: Rng + ?Sized>(
+    /// One lookup over a caller-owned arena. The source checks its own store first, at
+    /// no message cost. Floods then run to their TTL (independent branches cannot be
+    /// stopped) and record the depth of the first replica they reach; a walk stops on
+    /// the first hop that lands on a replica.
+    fn lookup<R: Rng + ?Sized>(
         &self,
-        source: NodeId,
-        ttl: u32,
-        fan_out: Option<usize>,
-        holds: impl Fn(NodeId) -> bool,
-        rng: &mut R,
-    ) -> QueryOutcome {
-        let mut scratch = SearchScratch::for_search(&self.graph, source);
-        self.flood_with_scratch(source, ttl, fan_out, holds, rng, &mut scratch)
-    }
-
-    /// The flooding lookup loop over a caller-owned arena. The arena is pure memory
-    /// state — visited marks and frontier values are identical to fresh allocations,
-    /// in the same order, so a dirty reused arena consumes the RNG stream identically.
-    fn flood_with_scratch<R: Rng + ?Sized>(
-        &self,
-        source: NodeId,
-        ttl: u32,
-        fan_out: Option<usize>,
-        holds: impl Fn(NodeId) -> bool,
-        rng: &mut R,
-        scratch: &mut SearchScratch,
-    ) -> QueryOutcome {
-        if holds(source) {
-            return QueryOutcome {
-                found: true,
-                hops_to_find: Some(0),
-                messages: 0,
-                peers_probed: 0,
-            };
-        }
-        let mut outcome = QueryOutcome::default();
-        scratch.visited.reset(self.graph.node_count());
-        scratch.visited.insert(source.index());
-        scratch.queue.clear();
-        scratch.queue.push_back((source, None, 0));
-
-        while let Some((node, from, depth)) = scratch.queue.pop_front() {
-            if depth >= ttl {
-                continue;
-            }
-            scratch.candidates.clear();
-            scratch.candidates.extend(
-                self.graph
-                    .neighbors(node)
-                    .iter()
-                    .copied()
-                    .filter(|&n| Some(n) != from),
-            );
-            let targets: &[NodeId] = match fan_out {
-                Some(k) if scratch.candidates.len() > k => {
-                    scratch.candidates.partial_shuffle(rng, k).0
-                }
-                _ => &scratch.candidates,
-            };
-            for &next in targets {
-                outcome.messages += 1;
-                if scratch.visited.insert(next.index()) {
-                    outcome.peers_probed += 1;
-                    if holds(next) && !outcome.found {
-                        outcome.found = true;
-                        outcome.hops_to_find = Some(depth + 1);
-                    }
-                    scratch.queue.push_back((next, Some(node), depth + 1));
-                }
-            }
-        }
-        outcome
-    }
-
-    fn walk<R: Rng + ?Sized>(
-        &self,
-        source: NodeId,
-        ttl: u32,
-        holds: impl Fn(NodeId) -> bool,
-        rng: &mut R,
-    ) -> QueryOutcome {
-        let mut scratch = SearchScratch::new();
-        self.walk_with_scratch(source, ttl, holds, rng, &mut scratch)
-    }
-
-    /// The random-walk lookup loop over a caller-owned arena (visited set only).
-    fn walk_with_scratch<R: Rng + ?Sized>(
-        &self,
+        method: QueryMethod,
         source: NodeId,
         ttl: u32,
         holds: impl Fn(NodeId) -> bool,
@@ -462,40 +254,38 @@ impl QuerySnapshot {
             return QueryOutcome {
                 found: true,
                 hops_to_find: Some(0),
-                messages: 0,
-                peers_probed: 0,
+                ..QueryOutcome::default()
             };
         }
-        let mut outcome = QueryOutcome::default();
-        scratch.visited.reset(self.graph.node_count());
-        scratch.visited.insert(source.index());
-        let mut current = source;
-        let mut previous: Option<NodeId> = None;
-        for hop in 1..=ttl {
-            let neighbors = self.graph.neighbors(current);
-            let next = match neighbors.len() {
-                0 => break,
-                1 => neighbors[0],
-                _ => loop {
-                    let candidate = neighbors[rng.gen_range(0..neighbors.len())];
-                    if Some(candidate) != previous {
-                        break candidate;
-                    }
-                },
+        let mut hops_to_find = None;
+        let graph = &self.graph;
+        let reached = if let QueryMethod::RandomWalk = method {
+            let walk = Walk::new(source, 1, ttl);
+            kernel::walk_from(graph, walk, rng, scratch, |node, hops, _| {
+                if !holds(node) {
+                    return ControlFlow::Continue(());
+                }
+                hops_to_find = Some(hops);
+                ControlFlow::Break(())
+            })
+        } else {
+            let fan_out = match method {
+                QueryMethod::NormalizedFlooding { k_min } => FanOut::Random(k_min),
+                _ => FanOut::All,
             };
-            outcome.messages += 1;
-            if scratch.visited.insert(next.index()) {
-                outcome.peers_probed += 1;
-            }
-            if holds(next) {
-                outcome.found = true;
-                outcome.hops_to_find = Some(hop);
-                break;
-            }
-            previous = Some(current);
-            current = next;
+            let record = |node, depth, first: bool| {
+                if first && hops_to_find.is_none() && holds(node) {
+                    hops_to_find = Some(depth);
+                }
+            };
+            kernel::flood_from(graph, source, ttl, fan_out, rng, scratch, record)
+        };
+        QueryOutcome {
+            found: hops_to_find.is_some(),
+            hops_to_find,
+            messages: reached.messages,
+            peers_probed: reached.hits,
         }
-        outcome
     }
 }
 
@@ -888,5 +678,39 @@ mod tests {
                 &mut r
             )
             .is_err());
+    }
+
+    #[test]
+    fn lookups_report_a_replica_one_hop_away() {
+        // Every neighbor of the source holds the item, the source itself does not.
+        let mut overlay = build_overlay(40, 40);
+        let source = overlay.peers().next().unwrap();
+        let item = ItemId::new(8);
+        for peer in overlay.neighbors(source).unwrap().to_vec() {
+            overlay.store_item(peer, item).unwrap();
+        }
+        let snapshot = QuerySnapshot::capture(&overlay);
+        let lookup = |method: QueryMethod, item: ItemId, ttl: u32, seed: u64| {
+            let mut r = rng(seed);
+            snapshot
+                .run_query(&overlay, method, source, item, ttl, &mut r)
+                .unwrap()
+        };
+        let walk = lookup(QueryMethod::RandomWalk, item, 10, 41);
+        let stopped = QueryOutcome {
+            found: true,
+            hops_to_find: Some(1),
+            messages: 1,
+            peers_probed: 1,
+        };
+        assert_eq!(walk, stopped, "the walk stops on its first hop");
+        let flood = lookup(QueryMethod::Flooding, item, 4, 42);
+        let missing = lookup(QueryMethod::Flooding, ItemId::new(9), 4, 42);
+        assert_eq!((flood.found, flood.hops_to_find), (true, Some(1)));
+        // Flood branches cannot be stopped: the flood still spends its full TTL.
+        assert_eq!(
+            (flood.messages, flood.peers_probed),
+            (missing.messages, missing.peers_probed)
+        );
     }
 }
