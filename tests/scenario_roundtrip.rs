@@ -3,6 +3,7 @@
 //! fail with typed errors instead of panics.
 
 use sfoverlay::prelude::*;
+use sfoverlay::scenario::json::{FromJson, JsonValue, ToJson};
 use sfoverlay::topology::fitness::FitnessDistribution;
 
 /// One small static spec per topology family, plus one per search algorithm, plus the
@@ -412,5 +413,320 @@ fn scenario_reports_expose_figure_ready_series() {
         for p in &series.points {
             assert_eq!(p.realizations, 2);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------------------
+// Canonical JSON: the exact bytes every spec, report and workload serializes to.
+
+/// One report per `ScenarioResult` kind. Their embedded specs reach the variants
+/// `all_spec_variants` leaves out (snapshot topologies, worker lists, live growth,
+/// flash crowds, every join strategy, session model and fitness law), so together the
+/// two lists touch every JSON-mapped type of the scenario layer.
+fn one_report_per_result_kind() -> Vec<ScenarioReport> {
+    use sfoverlay::scenario::{
+        ChurnRealization, DegreeBinPoint, ScenarioResult, Stat, SweepCurve, SweepPoint,
+        TraceRealization,
+    };
+    use sfoverlay::sim::catalog::ItemId;
+    use sfoverlay::sim::simulation::OverlaySample;
+
+    let stat = |mean: f64, std_error: f64| Stat {
+        mean,
+        std_error,
+        realizations: 2,
+    };
+    let samples = vec![
+        OverlaySample {
+            time: 0,
+            peers: 120,
+            edges: 340,
+            mean_degree: 5.666666666666667,
+            max_degree: 30,
+            giant_component_fraction: 1.0,
+        },
+        OverlaySample {
+            time: 25,
+            peers: 118,
+            edges: 331,
+            mean_degree: 5.610169491525424,
+            max_degree: 29,
+            giant_component_fraction: 0.9915254237288136,
+        },
+    ];
+
+    let mut snapshot_sweep = ScenarioSpec::sweep(
+        "golden-snapshot-sweep",
+        TopologySpec::Snapshot {
+            path: "realization0.sfos".to_string(),
+        },
+        SearchSpec::NormalizedFlooding { k_min: Some(2) },
+        SweepSpec::single(vec![1, 2, 4], 10).with_engine(4),
+        u64::MAX,
+        1,
+    );
+    let sweep = snapshot_sweep.sweep.as_mut().unwrap();
+    sweep.threads = 2;
+    sweep.workers = vec![
+        "10.0.0.1:9000".to_string(),
+        "unix:/run/sfo.sock".to_string(),
+    ];
+    sweep.placed = true;
+
+    let degree = ScenarioSpec::degree_distribution(
+        "golden-degrees",
+        TopologySpec::Fitness {
+            nodes: 400,
+            m: 1,
+            distribution: FitnessDistribution::UniformRange { min: 0.1, max: 0.9 },
+            cutoff: Some(15),
+        },
+        Some(SweepSpec::axes(vec![1, 2], vec![Some(10), None])),
+        8,
+        11,
+        2,
+    );
+
+    let mut sim = SimulationConfig::small();
+    sim.overlay = OverlayConfig {
+        stubs: 2,
+        cutoff: DegreeCutoff::Unbounded,
+        join_strategy: JoinStrategy::DegreePreferential,
+        repair_on_leave: false,
+    };
+    sim.query_method = QueryMethod::RandomWalk;
+
+    let mut run = TraceRunConfig::small();
+    run.overlay.join_strategy = JoinStrategy::UniformRandom;
+    run.replication = ReplicationStrategy::Proportional;
+    run.workload = Workload::FlashCrowd {
+        hot_item: ItemId::new(3),
+        start: 10,
+        end: 90,
+        intensity: 0.75,
+    };
+    run.query_method = QueryMethod::Flooding;
+
+    let mut live = LiveConfig::small();
+    live.sessions = SessionModel::Pareto {
+        shape: 1.2,
+        minimum: 64.0,
+    };
+    live.crash_fraction = 0.5;
+
+    vec![
+        ScenarioReport {
+            spec: snapshot_sweep,
+            result: ScenarioResult::Sweep {
+                curves: vec![SweepCurve {
+                    label: "PA, m=2, k_c=10".to_string(),
+                    points: vec![
+                        SweepPoint {
+                            ttl: 1,
+                            hits: stat(2.5, 0.0),
+                            messages: stat(3.0, 0.125),
+                        },
+                        SweepPoint {
+                            ttl: 4,
+                            hits: stat(0.1 + 0.2, 1e-9),
+                            messages: stat(41.75, 2.5e-3),
+                        },
+                    ],
+                }],
+            },
+        },
+        ScenarioReport {
+            spec: degree,
+            result: ScenarioResult::DegreeDistribution {
+                curves: vec![DegreeCurve {
+                    label: "fitness U[0.1,0.9], m=1, k_c=10".to_string(),
+                    points: vec![
+                        DegreeBinPoint {
+                            k: 1.1547005383792515,
+                            density: 0.4325,
+                            count: 346,
+                        },
+                        DegreeBinPoint {
+                            k: 7.498942093324558,
+                            density: 1.25e-4,
+                            count: 1,
+                        },
+                    ],
+                }],
+            },
+        },
+        ScenarioReport {
+            spec: ScenarioSpec::churn("golden-churn", sim, 31, 1),
+            result: ScenarioResult::Churn {
+                realizations: vec![ChurnRealization {
+                    realization: 0,
+                    queries_issued: 400,
+                    queries_successful: 391,
+                    query_messages: 5120,
+                    success_rate: 0.9775,
+                    mean_query_messages: 12.8,
+                    mean_hops_to_find: 2.340153452685422,
+                    joins: 97,
+                    leaves: 60,
+                    crashes: 21,
+                    mean_churn_messages: 14.5,
+                    final_peers: 216,
+                    samples: samples.clone(),
+                }],
+            },
+        },
+        ScenarioReport {
+            spec: ScenarioSpec::trace(
+                "golden-trace",
+                ChurnTraceConfig {
+                    duration: 300,
+                    arrival_rate: 0.4,
+                    sessions: SessionModel::Fixed { length: 12.0 },
+                    crash_fraction: 0.25,
+                },
+                run,
+                9,
+                1,
+            ),
+            result: ScenarioResult::Trace {
+                realizations: vec![TraceRealization {
+                    realization: 0,
+                    arrivals_applied: 120,
+                    leaves_applied: 61,
+                    crashes_applied: 20,
+                    departures_skipped: 3,
+                    queries_issued: 300,
+                    queries_successful: 288,
+                    success_rate: 0.96,
+                    query_messages: 9001,
+                    control_messages: 1234,
+                    final_peers: 186,
+                    worst_connectivity: 0.875,
+                    samples,
+                }],
+            },
+        },
+        ScenarioReport {
+            spec: ScenarioSpec::live("golden-live", live, "live.sfos", 5),
+            result: ScenarioResult::Live {
+                realizations: vec![LiveRealization {
+                    realization: 0,
+                    arrivals: 48,
+                    leaves: 7,
+                    crashes: 6,
+                    final_peers: 35,
+                    edges: 101,
+                    max_degree: 12,
+                    messages: 98765,
+                    snapshot: "live.sfos".to_string(),
+                    identity: 0xDEAD_BEEF_0123_4567,
+                }],
+            },
+        },
+    ]
+}
+
+/// One workload per `ArrivalSpec` process.
+fn one_workload_per_arrival_process() -> Vec<WorkloadSpec> {
+    let poisson = WorkloadSpec {
+        name: "golden-poisson".to_string(),
+        arrivals: ArrivalSpec::Poisson { rate_hz: 200.0 },
+        duration_secs: 2.5,
+        connections: 2,
+        jobs_per_request: 4,
+        search: SearchSpec::NormalizedFlooding { k_min: Some(2) },
+        ttl: 4,
+        seed: 42,
+    };
+    let bursty = WorkloadSpec {
+        name: "golden-bursty".to_string(),
+        arrivals: ArrivalSpec::Bursty {
+            rate_hz: 500.0,
+            shape: 1.5,
+            mean_on_secs: 0.2,
+            mean_off_secs: 0.3,
+        },
+        search: SearchSpec::ProbabilisticFlooding { p: 0.625 },
+        ..poisson.clone()
+    };
+    vec![poisson, bursty]
+}
+
+/// Which top-level type a canonical-JSON entry decodes as.
+#[derive(Clone, Copy)]
+enum Golden {
+    Spec,
+    Report,
+    Workload,
+}
+
+impl Golden {
+    fn decode(self, value: &JsonValue) -> Result<(), ScenarioError> {
+        match self {
+            Golden::Spec => ScenarioSpec::from_json(value).map(drop),
+            Golden::Report => ScenarioReport::from_json(value).map(drop),
+            Golden::Workload => WorkloadSpec::from_json(value).map(drop),
+        }
+    }
+}
+
+/// Every golden value as `(name, kind, canonical JSON)`.
+fn golden_values() -> Vec<(String, Golden, JsonValue)> {
+    let mut values = Vec::new();
+    for spec in all_spec_variants() {
+        values.push((format!("spec {}", spec.name), Golden::Spec, spec.to_json()));
+    }
+    for report in one_report_per_result_kind() {
+        let name = format!("report {}", report.spec.name);
+        values.push((name, Golden::Report, report.to_json()));
+    }
+    for workload in one_workload_per_arrival_process() {
+        let name = format!("workload {}", workload.name);
+        values.push((name, Golden::Workload, workload.to_json()));
+    }
+    values
+}
+
+const GOLDEN_PATH: &str = "tests/golden/canonical_json.txt";
+
+#[test]
+fn canonical_json_matches_the_golden_bytes() {
+    // The golden file pins the writer's exact output — member order, number forms,
+    // `null` for absent options, layout — so any change to how a type maps to JSON
+    // shows up here as a byte diff, not just as a lossless-but-different round trip.
+    // Regenerate it (only for an intended format change) with
+    // `SFO_BLESS=1 cargo test --test scenario_roundtrip canonical_json`.
+    let mut text = String::new();
+    for (name, _, json) in golden_values() {
+        text.push_str(&format!("=== {name}\n"));
+        text.push_str(&json.to_pretty_string());
+    }
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
+    if std::env::var_os("SFO_BLESS").is_some() {
+        std::fs::write(&path, &text).unwrap();
+    }
+    let golden = std::fs::read_to_string(&path).expect("golden file exists");
+    let expected: Vec<&str> = golden.split("=== ").collect();
+    let actual: Vec<&str> = text.split("=== ").collect();
+    for (want, got) in expected.iter().zip(&actual) {
+        assert_eq!(got, want, "canonical JSON drifted from {GOLDEN_PATH}");
+    }
+    assert_eq!(actual.len(), expected.len(), "golden entry count");
+    // Every golden value also decodes, and reports and workloads decode back to the
+    // value that wrote them (specs are checked by the round-trip test above).
+    for (name, kind, json) in golden_values() {
+        kind.decode(&json).unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+    for report in one_report_per_result_kind() {
+        assert_eq!(
+            ScenarioReport::parse(&report.to_json_string()).unwrap(),
+            report
+        );
+    }
+    for workload in one_workload_per_arrival_process() {
+        assert_eq!(
+            WorkloadSpec::parse(&workload.to_json_string()).unwrap(),
+            workload
+        );
     }
 }
