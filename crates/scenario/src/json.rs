@@ -17,7 +17,13 @@
 //!
 //! As one extension over strict JSON, the parser skips `//` line comments, so the spec
 //! files shipped under `examples/` can carry the header comments tying them to the paper
-//! figures they reproduce.
+//! figures they reproduce. Nesting deeper than [`MAX_DEPTH`] is refused with a parse
+//! error, so a hostile document cannot exhaust the stack of the recursive descent.
+//!
+//! Types map to JSON through one rule, stated once per type as a `json_map!` field
+//! table: members are written in table order, unknown members are refused, and
+//! each field is read back through its own type's [`FromJson`]. The leaf impls below
+//! cover the scalars, strings, options and vectors those tables are built from.
 
 use crate::ScenarioError;
 use std::fmt;
@@ -177,6 +183,7 @@ impl JsonValue {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws()?;
         let value = parser.parse_value()?;
@@ -310,9 +317,14 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// The deepest array/object nesting the parser accepts; the shipped specs and reports
+/// nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -370,8 +382,11 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<JsonValue, ScenarioError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.error(&format!(
+                "arrays and objects nest deeper than {MAX_DEPTH} levels"
+            ))),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -380,6 +395,16 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.error("unexpected character at start of a value")),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, ScenarioError>,
+    ) -> Result<JsonValue, ScenarioError> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(
@@ -563,6 +588,253 @@ pub trait FromJson: Sized {
     fn from_json(value: &JsonValue) -> Result<Self, ScenarioError>;
 }
 
+/// Prefixes a decode error with the member or element it was found under, so a nested
+/// error reads `dynamics: sim: query_ttl: exceeds the 32-bit range`.
+pub(crate) fn under(segment: &str, error: ScenarioError) -> ScenarioError {
+    match error {
+        ScenarioError::InvalidSpec { reason } => {
+            ScenarioError::invalid(format!("{segment}: {reason}"))
+        }
+        other => other,
+    }
+}
+
+/// Reads the required member `key` of an object.
+pub(crate) fn required<T: FromJson>(value: &JsonValue, key: &str) -> Result<T, ScenarioError> {
+    match value.get(key) {
+        Some(v) => T::from_json(v).map_err(|e| under(key, e)),
+        None => Err(ScenarioError::invalid(format!("missing field \"{key}\""))),
+    }
+}
+
+/// Reads the member `key` of an object, or `default()` when it is absent or `null`.
+pub(crate) fn defaulted<T: FromJson>(
+    value: &JsonValue,
+    key: &str,
+    default: impl FnOnce() -> T,
+) -> Result<T, ScenarioError> {
+    match value.get(key) {
+        None | Some(JsonValue::Null) => Ok(default()),
+        Some(v) => T::from_json(v).map_err(|e| under(key, e)),
+    }
+}
+
+/// Rejects members outside `allowed`, so a typo in a hand-written spec file ("kmin",
+/// "thread", ...) fails loudly instead of silently running a different experiment.
+pub(crate) fn check_members(value: &JsonValue, allowed: &[&str]) -> Result<(), ScenarioError> {
+    let members = value
+        .as_object()
+        .ok_or_else(|| ScenarioError::invalid("expected an object"))?;
+    match members
+        .iter()
+        .find(|(key, _)| !allowed.contains(&key.as_str()))
+    {
+        Some((key, _)) => Err(ScenarioError::invalid(format!(
+            "unknown field \"{key}\" (allowed: {})",
+            allowed.join(", ")
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The error for a tag value no variant of a tagged enum carries.
+pub(crate) fn unknown_tag(tag: &str, found: &str, expected: &[&str]) -> ScenarioError {
+    ScenarioError::invalid(format!(
+        "unknown {tag} \"{found}\" (expected {})",
+        expected.join(", ")
+    ))
+}
+
+/// Maps a struct or a tagged enum to a JSON object through one field table.
+///
+/// Each row `field: "key"` names a field and its JSON key; `field: "key" = default`
+/// takes `default` when the member is absent or `null`. A tagged enum names its tag
+/// key once, then each variant's tag value and its rows. From the table the macro
+/// writes [`ToJson`], emitting the members in row order (a tagged enum's tag first),
+/// and [`FromJson`], which refuses members the table does not list and reads every
+/// row through its field type's own [`FromJson`]:
+///
+/// ```text
+/// json_map! { struct Stat { mean: "mean", std_error: "std_error", realizations: "realizations" } }
+/// json_map! { enum SearchSpec ["algorithm"] {
+///     Flooding = "flooding",
+///     NormalizedFlooding = "normalized_flooding" { k_min: "k_min" = None },
+/// } }
+/// ```
+macro_rules! json_map {
+    (struct $ty:ident { $($field:ident: $key:literal $(= $default:expr)?),* $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::JsonValue {
+                $crate::json::JsonValue::Object(vec![
+                    $(($key.to_string(), $crate::json::ToJson::to_json(&self.$field)),)*
+                ])
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(
+                value: &$crate::json::JsonValue,
+            ) -> Result<Self, $crate::ScenarioError> {
+                $crate::json::check_members(value, &[$($key),*])?;
+                Ok($ty { $($field: $crate::json::json_map!(@read value, $key $(, $default)?),)* })
+            }
+        }
+    };
+    (enum $ty:ident [$tag:literal] { $($variant:ident = $value:literal
+        $({ $($field:ident: $key:literal $(= $default:expr)?),* $(,)? })?),* $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn to_json(&self) -> $crate::json::JsonValue {
+                match self {
+                    $($ty::$variant { $($($field),*)? } => $crate::json::JsonValue::Object(vec![
+                        ($tag.to_string(), $crate::json::JsonValue::from_str_value($value)),
+                        $($(($key.to_string(), $crate::json::ToJson::to_json($field)),)*)?
+                    ]),)*
+                }
+            }
+        }
+        impl $crate::json::FromJson for $ty {
+            fn from_json(
+                value: &$crate::json::JsonValue,
+            ) -> Result<Self, $crate::ScenarioError> {
+                let tag: String = $crate::json::required(value, $tag)?;
+                match tag.as_str() {
+                    $($value => {
+                        $crate::json::check_members(value, &[$tag $($(, $key)*)?])?;
+                        Ok($ty::$variant { $($($field: $crate::json::json_map!(
+                            @read value, $key $(, $default)?
+                        ),)*)? })
+                    })*
+                    other => Err($crate::json::unknown_tag($tag, other, &[$($value),*])),
+                }
+            }
+        }
+    };
+    (@read $value:ident, $key:literal) => {
+        $crate::json::required($value, $key)?
+    };
+    (@read $value:ident, $key:literal, $default:expr) => {
+        $crate::json::defaulted($value, $key, || $default)?
+    };
+}
+pub(crate) use json_map;
+
+impl ToJson for usize {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from_usize(*self)
+    }
+}
+
+impl FromJson for usize {
+    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
+        value
+            .as_usize()
+            .ok_or_else(|| ScenarioError::invalid("expected a non-negative integer"))
+    }
+}
+
+impl ToJson for u64 {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from_u64(*self)
+    }
+}
+
+impl FromJson for u64 {
+    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
+        value
+            .as_u64()
+            .ok_or_else(|| ScenarioError::invalid("expected a non-negative integer"))
+    }
+}
+
+impl ToJson for u32 {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from_u64(u64::from(*self))
+    }
+}
+
+impl FromJson for u32 {
+    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
+        u32::try_from(u64::from_json(value)?)
+            .map_err(|_| ScenarioError::invalid("exceeds the 32-bit range"))
+    }
+}
+
+impl ToJson for f64 {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from_f64(*self)
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
+        value
+            .as_f64()
+            .ok_or_else(|| ScenarioError::invalid("expected a number"))
+    }
+}
+
+impl ToJson for bool {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
+        value
+            .as_bool()
+            .ok_or_else(|| ScenarioError::invalid("expected a boolean"))
+    }
+}
+
+impl ToJson for String {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::from_str_value(self)
+    }
+}
+
+impl FromJson for String {
+    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
+        value
+            .as_str()
+            .map(str::to_string)
+            .ok_or_else(|| ScenarioError::invalid("expected a string"))
+    }
+}
+
+/// `None` is written as `null`, and `null` reads back as `None`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn to_json(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, ToJson::to_json)
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
+        match value {
+            JsonValue::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn to_json(&self) -> JsonValue {
+        JsonValue::Array(self.iter().map(ToJson::to_json).collect())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
+        value
+            .as_array()
+            .ok_or_else(|| ScenarioError::invalid("expected an array"))?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_json(item).map_err(|e| under(&format!("[{i}]"), e)))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,6 +908,26 @@ mod tests {
         );
         assert!(JsonValue::parse("[1, 2,]").is_err(), "trailing comma");
         assert!(JsonValue::parse("{} extra").is_err(), "trailing garbage");
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_a_parse_error() {
+        let deep_arrays = "[".repeat(1_000_000);
+        let deep_objects = "{\"a\":".repeat(1_000_000);
+        for text in [deep_arrays, deep_objects] {
+            assert!(matches!(
+                JsonValue::parse(&text),
+                Err(ScenarioError::Parse { .. })
+            ));
+        }
+        // The cap itself is still accepted.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert!(matches!(
+            JsonValue::parse(&past_cap),
+            Err(ScenarioError::Parse { .. })
+        ));
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //! ascending order are errors, so a canonical snapshot round-trips and a corrupted one
 //! is refused, never silently reinterpreted.
 
-use crate::codec::{check_fields, req, req_u64};
-use crate::json::{FromJson, JsonValue, ToJson};
+use crate::json::{check_members, required, under, FromJson, JsonValue, ToJson};
 use crate::ScenarioError;
 use sfo_obs::{HistogramSnapshot, MetricsSnapshot, BUCKET_COUNT};
 
@@ -72,30 +71,31 @@ fn histogram_to_json(histogram: &HistogramSnapshot) -> JsonValue {
 
 impl FromJson for MetricsSnapshot {
     fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "metrics snapshot";
-        check_fields(value, CTX, &["counters", "histograms"])?;
-        let counters = req(value, "counters", CTX)?
-            .as_object()
-            .ok_or_else(|| {
-                ScenarioError::invalid("metrics snapshot: \"counters\" must be an object")
-            })?
+        check_members(value, &["counters", "histograms"])?;
+        let object = |key: &str| {
+            value
+                .get(key)
+                .and_then(JsonValue::as_object)
+                .ok_or_else(|| ScenarioError::invalid(format!("\"{key}\" must be an object")))
+        };
+        let counters = object("counters")?
             .iter()
             .map(|(name, v)| {
                 let value = v.as_u64().ok_or_else(|| {
                     ScenarioError::invalid(format!(
-                        "metrics snapshot: counter \"{name}\" must be a non-negative integer"
+                        "counter \"{name}\" must be a non-negative integer"
                     ))
                 })?;
                 Ok((name.clone(), value))
             })
             .collect::<Result<Vec<(String, u64)>, ScenarioError>>()?;
-        let histograms = req(value, "histograms", CTX)?
-            .as_object()
-            .ok_or_else(|| {
-                ScenarioError::invalid("metrics snapshot: \"histograms\" must be an object")
-            })?
+        let histograms = object("histograms")?
             .iter()
-            .map(|(name, v)| Ok((name.clone(), histogram_from_json(name, v)?)))
+            .map(|(name, v)| {
+                let histogram = histogram_from_json(v)
+                    .map_err(|e| under(&format!("histogram \"{name}\""), e))?;
+                Ok((name.clone(), histogram))
+            })
             .collect::<Result<Vec<(String, HistogramSnapshot)>, ScenarioError>>()?;
         Ok(MetricsSnapshot {
             counters,
@@ -104,49 +104,44 @@ impl FromJson for MetricsSnapshot {
     }
 }
 
-fn histogram_from_json(name: &str, value: &JsonValue) -> Result<HistogramSnapshot, ScenarioError> {
-    let ctx = format!("histogram \"{name}\"");
+fn histogram_from_json(value: &JsonValue) -> Result<HistogramSnapshot, ScenarioError> {
     // p50/p95/p99 are derived from the buckets; accepted for round-tripping, ignored.
-    check_fields(
+    check_members(
         value,
-        &ctx,
         &["count", "sum", "max", "p50", "p95", "p99", "buckets"],
     )?;
     let mut buckets = Vec::new();
-    for entry in req(value, "buckets", &ctx)?
-        .as_array()
-        .ok_or_else(|| ScenarioError::invalid(format!("{ctx}: \"buckets\" must be an array")))?
+    for entry in value
+        .get("buckets")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| ScenarioError::invalid("\"buckets\" must be an array"))?
     {
         let pair = entry
             .as_array()
             .filter(|pair| pair.len() == 2)
-            .ok_or_else(|| {
-                ScenarioError::invalid(format!("{ctx}: each bucket must be an [index, count] pair"))
-            })?;
+            .ok_or_else(|| ScenarioError::invalid("each bucket must be an [index, count] pair"))?;
         let bucket = pair[0]
             .as_u64()
             .filter(|&b| (b as usize) < BUCKET_COUNT)
             .ok_or_else(|| {
                 ScenarioError::invalid(format!(
-                    "{ctx}: bucket index must be an integer below {BUCKET_COUNT}"
+                    "bucket index must be an integer below {BUCKET_COUNT}"
                 ))
             })? as u8;
-        let samples = pair[1].as_u64().ok_or_else(|| {
-            ScenarioError::invalid(format!(
-                "{ctx}: bucket count must be a non-negative integer"
-            ))
-        })?;
+        let samples = pair[1]
+            .as_u64()
+            .ok_or_else(|| ScenarioError::invalid("bucket count must be a non-negative integer"))?;
         if buckets.last().is_some_and(|&(last, _)| last >= bucket) {
-            return Err(ScenarioError::invalid(format!(
-                "{ctx}: bucket indices must be strictly ascending"
-            )));
+            return Err(ScenarioError::invalid(
+                "bucket indices must be strictly ascending",
+            ));
         }
         buckets.push((bucket, samples));
     }
     Ok(HistogramSnapshot {
-        count: req_u64(value, "count", &ctx)?,
-        sum: req_u64(value, "sum", &ctx)?,
-        max: req_u64(value, "max", &ctx)?,
+        count: required(value, "count")?,
+        sum: required(value, "sum")?,
+        max: required(value, "max")?,
         buckets,
     })
 }

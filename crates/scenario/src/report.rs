@@ -7,8 +7,7 @@
 //! deserialized spec reproduces the report byte for byte (enforced by the workspace's
 //! round-trip tests), and a report file alone is enough to rerun or extend an experiment.
 
-use crate::codec::{check_fields, req, req_f64, req_str, req_u32, req_u64, req_usize};
-use crate::json::{FromJson, JsonValue, ToJson};
+use crate::json::{json_map, FromJson, JsonValue, ToJson};
 use crate::spec::ScenarioSpec;
 use crate::ScenarioError;
 use serde::{Deserialize, Serialize};
@@ -46,31 +45,6 @@ impl Stat {
     }
 }
 
-impl ToJson for Stat {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("mean".to_string(), JsonValue::from_f64(self.mean)),
-            ("std_error".to_string(), JsonValue::from_f64(self.std_error)),
-            (
-                "realizations".to_string(),
-                JsonValue::from_usize(self.realizations),
-            ),
-        ])
-    }
-}
-
-impl FromJson for Stat {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "stat";
-        check_fields(value, CTX, &["mean", "std_error", "realizations"])?;
-        Ok(Stat {
-            mean: req_f64(value, "mean", CTX)?,
-            std_error: req_f64(value, "std_error", CTX)?,
-            realizations: req_usize(value, "realizations", CTX)?,
-        })
-    }
-}
-
 /// One TTL point of a sweep curve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SweepPoint {
@@ -80,28 +54,6 @@ pub struct SweepPoint {
     pub hits: Stat,
     /// Messages per search, averaged across realizations.
     pub messages: Stat,
-}
-
-impl ToJson for SweepPoint {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("ttl".to_string(), JsonValue::from_u64(u64::from(self.ttl))),
-            ("hits".to_string(), self.hits.to_json()),
-            ("messages".to_string(), self.messages.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SweepPoint {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "sweep point";
-        check_fields(value, CTX, &["ttl", "hits", "messages"])?;
-        Ok(SweepPoint {
-            ttl: req_u32(value, "ttl", CTX)?,
-            hits: Stat::from_json(req(value, "hits", CTX)?)?,
-            messages: Stat::from_json(req(value, "messages", CTX)?)?,
-        })
-    }
 }
 
 /// One curve of a static sweep: a labelled topology configuration measured per TTL.
@@ -134,35 +86,6 @@ impl SweepCurve {
     }
 }
 
-impl ToJson for SweepCurve {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("label".to_string(), JsonValue::from_str_value(&self.label)),
-            (
-                "points".to_string(),
-                JsonValue::Array(self.points.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for SweepCurve {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "sweep curve";
-        check_fields(value, CTX, &["label", "points"])?;
-        let points = req(value, "points", CTX)?
-            .as_array()
-            .ok_or_else(|| ScenarioError::invalid("sweep curve: \"points\" must be an array"))?
-            .iter()
-            .map(SweepPoint::from_json)
-            .collect::<Result<Vec<SweepPoint>, ScenarioError>>()?;
-        Ok(SweepCurve {
-            label: req_str(value, "label", CTX)?.to_string(),
-            points,
-        })
-    }
-}
-
 /// One log-binned point of a `P(k)` degree-distribution curve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DegreeBinPoint {
@@ -172,28 +95,6 @@ pub struct DegreeBinPoint {
     pub density: f64,
     /// Raw number of degree samples in the bin.
     pub count: usize,
-}
-
-impl ToJson for DegreeBinPoint {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("k".to_string(), JsonValue::from_f64(self.k)),
-            ("density".to_string(), JsonValue::from_f64(self.density)),
-            ("count".to_string(), JsonValue::from_usize(self.count)),
-        ])
-    }
-}
-
-impl FromJson for DegreeBinPoint {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "degree bin";
-        check_fields(value, CTX, &["k", "density", "count"])?;
-        Ok(DegreeBinPoint {
-            k: req_f64(value, "k", CTX)?,
-            density: req_f64(value, "density", CTX)?,
-            count: req_usize(value, "count", CTX)?,
-        })
-    }
 }
 
 /// One curve of a degree-distribution scenario: the log-binned `P(k)` of a labelled
@@ -220,35 +121,6 @@ impl DegreeCurve {
             });
         }
         series
-    }
-}
-
-impl ToJson for DegreeCurve {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("label".to_string(), JsonValue::from_str_value(&self.label)),
-            (
-                "points".to_string(),
-                JsonValue::Array(self.points.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for DegreeCurve {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "degree curve";
-        check_fields(value, CTX, &["label", "points"])?;
-        let points = req(value, "points", CTX)?
-            .as_array()
-            .ok_or_else(|| ScenarioError::invalid("degree curve: \"points\" must be an array"))?
-            .iter()
-            .map(DegreeBinPoint::from_json)
-            .collect::<Result<Vec<DegreeBinPoint>, ScenarioError>>()?;
-        Ok(DegreeCurve {
-            label: req_str(value, "label", CTX)?.to_string(),
-            points,
-        })
     }
 }
 
@@ -283,96 +155,6 @@ pub struct ChurnRealization {
     pub samples: Vec<OverlaySample>,
 }
 
-impl ToJson for ChurnRealization {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "realization".to_string(),
-                JsonValue::from_usize(self.realization),
-            ),
-            (
-                "queries_issued".to_string(),
-                JsonValue::from_usize(self.queries_issued),
-            ),
-            (
-                "queries_successful".to_string(),
-                JsonValue::from_usize(self.queries_successful),
-            ),
-            (
-                "query_messages".to_string(),
-                JsonValue::from_usize(self.query_messages),
-            ),
-            (
-                "success_rate".to_string(),
-                JsonValue::from_f64(self.success_rate),
-            ),
-            (
-                "mean_query_messages".to_string(),
-                JsonValue::from_f64(self.mean_query_messages),
-            ),
-            (
-                "mean_hops_to_find".to_string(),
-                JsonValue::from_f64(self.mean_hops_to_find),
-            ),
-            ("joins".to_string(), JsonValue::from_usize(self.joins)),
-            ("leaves".to_string(), JsonValue::from_usize(self.leaves)),
-            ("crashes".to_string(), JsonValue::from_usize(self.crashes)),
-            (
-                "mean_churn_messages".to_string(),
-                JsonValue::from_f64(self.mean_churn_messages),
-            ),
-            (
-                "final_peers".to_string(),
-                JsonValue::from_usize(self.final_peers),
-            ),
-            (
-                "samples".to_string(),
-                JsonValue::Array(self.samples.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for ChurnRealization {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "churn realization";
-        check_fields(
-            value,
-            CTX,
-            &[
-                "realization",
-                "queries_issued",
-                "queries_successful",
-                "query_messages",
-                "success_rate",
-                "mean_query_messages",
-                "mean_hops_to_find",
-                "joins",
-                "leaves",
-                "crashes",
-                "mean_churn_messages",
-                "final_peers",
-                "samples",
-            ],
-        )?;
-        Ok(ChurnRealization {
-            realization: req_usize(value, "realization", CTX)?,
-            queries_issued: req_usize(value, "queries_issued", CTX)?,
-            queries_successful: req_usize(value, "queries_successful", CTX)?,
-            query_messages: req_usize(value, "query_messages", CTX)?,
-            success_rate: req_f64(value, "success_rate", CTX)?,
-            mean_query_messages: req_f64(value, "mean_query_messages", CTX)?,
-            mean_hops_to_find: req_f64(value, "mean_hops_to_find", CTX)?,
-            joins: req_usize(value, "joins", CTX)?,
-            leaves: req_usize(value, "leaves", CTX)?,
-            crashes: req_usize(value, "crashes", CTX)?,
-            mean_churn_messages: req_f64(value, "mean_churn_messages", CTX)?,
-            final_peers: req_usize(value, "final_peers", CTX)?,
-            samples: samples_from_json(value, CTX)?,
-        })
-    }
-}
-
 /// Outcome of replaying the churn trace of one realization.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceRealization {
@@ -404,105 +186,6 @@ pub struct TraceRealization {
     pub samples: Vec<OverlaySample>,
 }
 
-impl ToJson for TraceRealization {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "realization".to_string(),
-                JsonValue::from_usize(self.realization),
-            ),
-            (
-                "arrivals_applied".to_string(),
-                JsonValue::from_usize(self.arrivals_applied),
-            ),
-            (
-                "leaves_applied".to_string(),
-                JsonValue::from_usize(self.leaves_applied),
-            ),
-            (
-                "crashes_applied".to_string(),
-                JsonValue::from_usize(self.crashes_applied),
-            ),
-            (
-                "departures_skipped".to_string(),
-                JsonValue::from_usize(self.departures_skipped),
-            ),
-            (
-                "queries_issued".to_string(),
-                JsonValue::from_usize(self.queries_issued),
-            ),
-            (
-                "queries_successful".to_string(),
-                JsonValue::from_usize(self.queries_successful),
-            ),
-            (
-                "success_rate".to_string(),
-                JsonValue::from_f64(self.success_rate),
-            ),
-            (
-                "query_messages".to_string(),
-                JsonValue::from_usize(self.query_messages),
-            ),
-            (
-                "control_messages".to_string(),
-                JsonValue::from_usize(self.control_messages),
-            ),
-            (
-                "final_peers".to_string(),
-                JsonValue::from_usize(self.final_peers),
-            ),
-            (
-                "worst_connectivity".to_string(),
-                JsonValue::from_f64(self.worst_connectivity),
-            ),
-            (
-                "samples".to_string(),
-                JsonValue::Array(self.samples.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for TraceRealization {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "trace realization";
-        check_fields(
-            value,
-            CTX,
-            &[
-                "realization",
-                "arrivals_applied",
-                "leaves_applied",
-                "crashes_applied",
-                "departures_skipped",
-                "queries_issued",
-                "queries_successful",
-                "success_rate",
-                "query_messages",
-                "control_messages",
-                "final_peers",
-                "worst_connectivity",
-                "samples",
-            ],
-        )?;
-        Ok(TraceRealization {
-            realization: req_usize(value, "realization", CTX)?,
-            arrivals_applied: req_usize(value, "arrivals_applied", CTX)?,
-            leaves_applied: req_usize(value, "leaves_applied", CTX)?,
-            crashes_applied: req_usize(value, "crashes_applied", CTX)?,
-            departures_skipped: req_usize(value, "departures_skipped", CTX)?,
-            queries_issued: req_usize(value, "queries_issued", CTX)?,
-            queries_successful: req_usize(value, "queries_successful", CTX)?,
-            success_rate: req_f64(value, "success_rate", CTX)?,
-            query_messages: req_usize(value, "query_messages", CTX)?,
-            control_messages: req_usize(value, "control_messages", CTX)?,
-            final_peers: req_usize(value, "final_peers", CTX)?,
-            worst_connectivity: req_f64(value, "worst_connectivity", CTX)?,
-            samples: samples_from_json(value, CTX)?,
-        })
-    }
-}
-
 /// Outcome of growing one overlay through the live membership protocol.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LiveRealization {
@@ -526,78 +209,6 @@ pub struct LiveRealization {
     pub snapshot: String,
     /// Content identity of the written snapshot file.
     pub identity: u64,
-}
-
-impl ToJson for LiveRealization {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "realization".to_string(),
-                JsonValue::from_usize(self.realization),
-            ),
-            ("arrivals".to_string(), JsonValue::from_usize(self.arrivals)),
-            ("leaves".to_string(), JsonValue::from_usize(self.leaves)),
-            ("crashes".to_string(), JsonValue::from_usize(self.crashes)),
-            (
-                "final_peers".to_string(),
-                JsonValue::from_usize(self.final_peers),
-            ),
-            ("edges".to_string(), JsonValue::from_usize(self.edges)),
-            (
-                "max_degree".to_string(),
-                JsonValue::from_usize(self.max_degree),
-            ),
-            ("messages".to_string(), JsonValue::from_usize(self.messages)),
-            (
-                "snapshot".to_string(),
-                JsonValue::from_str_value(&self.snapshot),
-            ),
-            ("identity".to_string(), JsonValue::from_u64(self.identity)),
-        ])
-    }
-}
-
-impl FromJson for LiveRealization {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "live realization";
-        check_fields(
-            value,
-            CTX,
-            &[
-                "realization",
-                "arrivals",
-                "leaves",
-                "crashes",
-                "final_peers",
-                "edges",
-                "max_degree",
-                "messages",
-                "snapshot",
-                "identity",
-            ],
-        )?;
-        Ok(LiveRealization {
-            realization: req_usize(value, "realization", CTX)?,
-            arrivals: req_usize(value, "arrivals", CTX)?,
-            leaves: req_usize(value, "leaves", CTX)?,
-            crashes: req_usize(value, "crashes", CTX)?,
-            final_peers: req_usize(value, "final_peers", CTX)?,
-            edges: req_usize(value, "edges", CTX)?,
-            max_degree: req_usize(value, "max_degree", CTX)?,
-            messages: req_usize(value, "messages", CTX)?,
-            snapshot: req_str(value, "snapshot", CTX)?.to_string(),
-            identity: req_u64(value, "identity", CTX)?,
-        })
-    }
-}
-
-fn samples_from_json(value: &JsonValue, ctx: &str) -> Result<Vec<OverlaySample>, ScenarioError> {
-    req(value, "samples", ctx)?
-        .as_array()
-        .ok_or_else(|| ScenarioError::invalid(format!("{ctx}: \"samples\" must be an array")))?
-        .iter()
-        .map(OverlaySample::from_json)
-        .collect()
 }
 
 /// The shape-matched payload of a [`ScenarioReport`].
@@ -629,122 +240,6 @@ pub enum ScenarioResult {
         /// One entry per realization (always exactly one).
         realizations: Vec<LiveRealization>,
     },
-}
-
-impl ToJson for ScenarioResult {
-    fn to_json(&self) -> JsonValue {
-        match self {
-            ScenarioResult::Sweep { curves } => JsonValue::Object(vec![
-                ("kind".to_string(), JsonValue::from_str_value("sweep")),
-                (
-                    "curves".to_string(),
-                    JsonValue::Array(curves.iter().map(ToJson::to_json).collect()),
-                ),
-            ]),
-            ScenarioResult::DegreeDistribution { curves } => JsonValue::Object(vec![
-                (
-                    "kind".to_string(),
-                    JsonValue::from_str_value("degree_distribution"),
-                ),
-                (
-                    "curves".to_string(),
-                    JsonValue::Array(curves.iter().map(ToJson::to_json).collect()),
-                ),
-            ]),
-            ScenarioResult::Churn { realizations } => JsonValue::Object(vec![
-                ("kind".to_string(), JsonValue::from_str_value("churn")),
-                (
-                    "realizations".to_string(),
-                    JsonValue::Array(realizations.iter().map(ToJson::to_json).collect()),
-                ),
-            ]),
-            ScenarioResult::Trace { realizations } => JsonValue::Object(vec![
-                ("kind".to_string(), JsonValue::from_str_value("trace")),
-                (
-                    "realizations".to_string(),
-                    JsonValue::Array(realizations.iter().map(ToJson::to_json).collect()),
-                ),
-            ]),
-            ScenarioResult::Live { realizations } => JsonValue::Object(vec![
-                ("kind".to_string(), JsonValue::from_str_value("live")),
-                (
-                    "realizations".to_string(),
-                    JsonValue::Array(realizations.iter().map(ToJson::to_json).collect()),
-                ),
-            ]),
-        }
-    }
-}
-
-impl FromJson for ScenarioResult {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "scenario result";
-        let kind = req_str(value, "kind", CTX)?;
-        match kind {
-            "sweep" | "degree_distribution" => check_fields(value, CTX, &["kind", "curves"])?,
-            "churn" | "trace" | "live" => check_fields(value, CTX, &["kind", "realizations"])?,
-            _ => {}
-        }
-        match kind {
-            "sweep" => Ok(ScenarioResult::Sweep {
-                curves: req(value, "curves", CTX)?
-                    .as_array()
-                    .ok_or_else(|| {
-                        ScenarioError::invalid("scenario result: \"curves\" must be an array")
-                    })?
-                    .iter()
-                    .map(SweepCurve::from_json)
-                    .collect::<Result<_, _>>()?,
-            }),
-            "degree_distribution" => Ok(ScenarioResult::DegreeDistribution {
-                curves: req(value, "curves", CTX)?
-                    .as_array()
-                    .ok_or_else(|| {
-                        ScenarioError::invalid("scenario result: \"curves\" must be an array")
-                    })?
-                    .iter()
-                    .map(DegreeCurve::from_json)
-                    .collect::<Result<_, _>>()?,
-            }),
-            "churn" => Ok(ScenarioResult::Churn {
-                realizations: realizations_from_json(value)?,
-            }),
-            "trace" => Ok(ScenarioResult::Trace {
-                realizations: req(value, "realizations", CTX)?
-                    .as_array()
-                    .ok_or_else(|| {
-                        ScenarioError::invalid("scenario result: \"realizations\" must be an array")
-                    })?
-                    .iter()
-                    .map(TraceRealization::from_json)
-                    .collect::<Result<_, _>>()?,
-            }),
-            "live" => Ok(ScenarioResult::Live {
-                realizations: req(value, "realizations", CTX)?
-                    .as_array()
-                    .ok_or_else(|| {
-                        ScenarioError::invalid("scenario result: \"realizations\" must be an array")
-                    })?
-                    .iter()
-                    .map(LiveRealization::from_json)
-                    .collect::<Result<_, _>>()?,
-            }),
-            other => Err(ScenarioError::invalid(format!(
-                "{CTX}: unknown kind \"{other}\""
-            ))),
-        }
-    }
-}
-
-fn realizations_from_json(value: &JsonValue) -> Result<Vec<ChurnRealization>, ScenarioError> {
-    req(value, "realizations", "scenario result")?
-        .as_array()
-        .ok_or_else(|| {
-            ScenarioError::invalid("scenario result: \"realizations\" must be an array")
-        })?
-        .iter()
-        .map(ChurnRealization::from_json)
-        .collect()
 }
 
 /// The uniform outcome of running one [`ScenarioSpec`].
@@ -839,25 +334,73 @@ impl ScenarioReport {
     }
 }
 
-impl ToJson for ScenarioReport {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("spec".to_string(), self.spec.to_json()),
-            ("result".to_string(), self.result.to_json()),
-        ])
-    }
-}
+// ---------------------------------------------------------------------------------------
+// JSON field tables.
 
-impl FromJson for ScenarioReport {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "scenario report";
-        check_fields(value, CTX, &["spec", "result"])?;
-        Ok(ScenarioReport {
-            spec: ScenarioSpec::from_json(req(value, "spec", CTX)?)?,
-            result: ScenarioResult::from_json(req(value, "result", CTX)?)?,
-        })
-    }
-}
+json_map! { struct Stat { mean: "mean", std_error: "std_error", realizations: "realizations" } }
+
+json_map! { struct SweepPoint { ttl: "ttl", hits: "hits", messages: "messages" } }
+
+json_map! { struct SweepCurve { label: "label", points: "points" } }
+
+json_map! { struct DegreeBinPoint { k: "k", density: "density", count: "count" } }
+
+json_map! { struct DegreeCurve { label: "label", points: "points" } }
+
+json_map! { struct ChurnRealization {
+    realization: "realization",
+    queries_issued: "queries_issued",
+    queries_successful: "queries_successful",
+    query_messages: "query_messages",
+    success_rate: "success_rate",
+    mean_query_messages: "mean_query_messages",
+    mean_hops_to_find: "mean_hops_to_find",
+    joins: "joins",
+    leaves: "leaves",
+    crashes: "crashes",
+    mean_churn_messages: "mean_churn_messages",
+    final_peers: "final_peers",
+    samples: "samples",
+} }
+
+json_map! { struct TraceRealization {
+    realization: "realization",
+    arrivals_applied: "arrivals_applied",
+    leaves_applied: "leaves_applied",
+    crashes_applied: "crashes_applied",
+    departures_skipped: "departures_skipped",
+    queries_issued: "queries_issued",
+    queries_successful: "queries_successful",
+    success_rate: "success_rate",
+    query_messages: "query_messages",
+    control_messages: "control_messages",
+    final_peers: "final_peers",
+    worst_connectivity: "worst_connectivity",
+    samples: "samples",
+} }
+
+json_map! { struct LiveRealization {
+    realization: "realization",
+    arrivals: "arrivals",
+    leaves: "leaves",
+    crashes: "crashes",
+    final_peers: "final_peers",
+    edges: "edges",
+    max_degree: "max_degree",
+    messages: "messages",
+    snapshot: "snapshot",
+    identity: "identity",
+} }
+
+json_map! { enum ScenarioResult ["kind"] {
+    Sweep = "sweep" { curves: "curves" },
+    DegreeDistribution = "degree_distribution" { curves: "curves" },
+    Churn = "churn" { realizations: "realizations" },
+    Trace = "trace" { realizations: "realizations" },
+    Live = "live" { realizations: "realizations" },
+} }
+
+json_map! { struct ScenarioReport { spec: "spec", result: "result" } }
 
 #[cfg(test)]
 mod tests {

@@ -8,8 +8,7 @@
 //! [`crate::json`]) and are executed by [`crate::ScenarioRunner`], which embeds the spec
 //! in its [`crate::ScenarioReport`] for provenance.
 
-use crate::codec::{check_fields, opt_usize, req, req_f64, req_str, req_u32, req_u64, req_usize};
-use crate::json::{FromJson, JsonValue, ToJson};
+use crate::json::{json_map, FromJson, JsonValue, ToJson};
 use crate::ScenarioError;
 use serde::{Deserialize, Serialize};
 use sfo_core::attractiveness::InitialAttractiveness;
@@ -857,40 +856,6 @@ impl MeasureSpec {
     }
 }
 
-impl ToJson for MeasureSpec {
-    fn to_json(&self) -> JsonValue {
-        let mut members = vec![("kind".to_string(), JsonValue::from_str_value(self.kind()))];
-        if let MeasureSpec::DegreeDistribution { bins_per_decade } = *self {
-            members.push((
-                "bins_per_decade".to_string(),
-                JsonValue::from_usize(bins_per_decade),
-            ));
-        }
-        JsonValue::Object(members)
-    }
-}
-
-impl FromJson for MeasureSpec {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "measure";
-        match req_str(value, "kind", CTX)? {
-            "search_sweep" => {
-                check_fields(value, CTX, &["kind"])?;
-                Ok(MeasureSpec::SearchSweep)
-            }
-            "degree_distribution" => {
-                check_fields(value, CTX, &["kind", "bins_per_decade"])?;
-                Ok(MeasureSpec::DegreeDistribution {
-                    bins_per_decade: req_usize(value, "bins_per_decade", CTX)?,
-                })
-            }
-            other => Err(ScenarioError::invalid(format!(
-                "{CTX}: unknown kind \"{other}\" (expected search_sweep or degree_distribution)"
-            ))),
-        }
-    }
-}
-
 /// A complete, serializable scenario: one cell (or grid) of the paper's evaluation.
 ///
 /// Static search sweeps require `topology`, `search`, and `sweep`; degree-distribution
@@ -1296,567 +1261,78 @@ impl ScenarioSpec {
 }
 
 // ---------------------------------------------------------------------------------------
-// JSON codecs.
+// JSON field tables.
 
-impl ToJson for TopologySpec {
-    fn to_json(&self) -> JsonValue {
-        let mut members = vec![(
-            "family".to_string(),
-            JsonValue::from_str_value(self.family()),
-        )];
-        if let TopologySpec::Snapshot { path } = self {
-            members.push(("path".to_string(), JsonValue::from_str_value(path)));
-            return JsonValue::Object(members);
-        }
-        members.push(("nodes".to_string(), JsonValue::from_usize(self.nodes())));
-        match *self {
-            TopologySpec::Cm { gamma, .. } | TopologySpec::Ucm { gamma, .. } => {
-                members.push(("gamma".to_string(), JsonValue::from_f64(gamma)));
-            }
-            _ => {}
-        }
-        members.push(("m".to_string(), JsonValue::from_usize(self.m())));
-        match *self {
-            TopologySpec::DapaGrn { tau_sub, .. } | TopologySpec::DapaMesh { tau_sub, .. } => {
-                members.push((
-                    "tau_sub".to_string(),
-                    JsonValue::from_u64(u64::from(tau_sub)),
-                ));
-            }
-            TopologySpec::NonlinearPa { alpha, .. } => {
-                members.push(("alpha".to_string(), JsonValue::from_f64(alpha)));
-            }
-            TopologySpec::Fitness { distribution, .. } => {
-                members.push(("distribution".to_string(), distribution.to_json()));
-            }
-            TopologySpec::LocalEvents {
-                p_add_links,
-                q_rewire,
-                ..
-            } => {
-                members.push(("p_add_links".to_string(), JsonValue::from_f64(p_add_links)));
-                members.push(("q_rewire".to_string(), JsonValue::from_f64(q_rewire)));
-            }
-            TopologySpec::Attractiveness { a, .. } => {
-                members.push(("a".to_string(), JsonValue::from_f64(a)));
-            }
-            _ => {}
-        }
-        members.push((
-            "cutoff".to_string(),
-            JsonValue::from_opt_usize(self.cutoff()),
-        ));
-        JsonValue::Object(members)
-    }
-}
+json_map! { enum TopologySpec ["family"] {
+    Pa = "pa" { nodes: "nodes", m: "m", cutoff: "cutoff" = None },
+    Hapa = "hapa" { nodes: "nodes", m: "m", cutoff: "cutoff" = None },
+    Cm = "cm" { nodes: "nodes", gamma: "gamma", m: "m", cutoff: "cutoff" = None },
+    Ucm = "ucm" { nodes: "nodes", gamma: "gamma", m: "m", cutoff: "cutoff" = None },
+    DapaGrn = "dapa_grn" { nodes: "nodes", m: "m", tau_sub: "tau_sub", cutoff: "cutoff" = None },
+    DapaMesh = "dapa_mesh" { nodes: "nodes", m: "m", tau_sub: "tau_sub", cutoff: "cutoff" = None },
+    NonlinearPa = "nonlinear_pa" {
+        nodes: "nodes", m: "m", alpha: "alpha", cutoff: "cutoff" = None
+    },
+    Fitness = "fitness" {
+        nodes: "nodes", m: "m", distribution: "distribution", cutoff: "cutoff" = None
+    },
+    LocalEvents = "local_events" {
+        nodes: "nodes", m: "m", p_add_links: "p_add_links", q_rewire: "q_rewire",
+        cutoff: "cutoff" = None
+    },
+    Attractiveness = "attractiveness" { nodes: "nodes", m: "m", a: "a", cutoff: "cutoff" = None },
+    Snapshot = "snapshot" { path: "path" },
+} }
 
-impl FromJson for TopologySpec {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "topology";
-        // Snapshot is the one family with no generator parameters, so it is dispatched
-        // before the shared nodes/m/cutoff fields are required.
-        if req_str(value, "family", CTX)? == "snapshot" {
-            check_fields(value, CTX, &["family", "path"])?;
-            return Ok(TopologySpec::Snapshot {
-                path: req_str(value, "path", CTX)?.to_string(),
-            });
-        }
-        let nodes = req_usize(value, "nodes", CTX)?;
-        let m = req_usize(value, "m", CTX)?;
-        let cutoff = opt_usize(value, "cutoff", CTX)?;
-        const BASE: [&str; 4] = ["family", "nodes", "m", "cutoff"];
-        let fields = |extra: &[&str]| {
-            let mut allowed: Vec<&str> = BASE.to_vec();
-            allowed.extend_from_slice(extra);
-            check_fields(value, CTX, &allowed)
-        };
-        match req_str(value, "family", CTX)? {
-            "pa" => {
-                fields(&[])?;
-                Ok(TopologySpec::Pa { nodes, m, cutoff })
-            }
-            "hapa" => {
-                fields(&[])?;
-                Ok(TopologySpec::Hapa { nodes, m, cutoff })
-            }
-            "cm" => {
-                fields(&["gamma"])?;
-                Ok(TopologySpec::Cm {
-                    nodes,
-                    gamma: req_f64(value, "gamma", CTX)?,
-                    m,
-                    cutoff,
-                })
-            }
-            "ucm" => {
-                fields(&["gamma"])?;
-                Ok(TopologySpec::Ucm {
-                    nodes,
-                    gamma: req_f64(value, "gamma", CTX)?,
-                    m,
-                    cutoff,
-                })
-            }
-            "dapa_grn" => {
-                fields(&["tau_sub"])?;
-                Ok(TopologySpec::DapaGrn {
-                    nodes,
-                    m,
-                    tau_sub: req_u32(value, "tau_sub", CTX)?,
-                    cutoff,
-                })
-            }
-            "dapa_mesh" => {
-                fields(&["tau_sub"])?;
-                Ok(TopologySpec::DapaMesh {
-                    nodes,
-                    m,
-                    tau_sub: req_u32(value, "tau_sub", CTX)?,
-                    cutoff,
-                })
-            }
-            "nonlinear_pa" => {
-                fields(&["alpha"])?;
-                Ok(TopologySpec::NonlinearPa {
-                    nodes,
-                    m,
-                    alpha: req_f64(value, "alpha", CTX)?,
-                    cutoff,
-                })
-            }
-            "fitness" => {
-                fields(&["distribution"])?;
-                Ok(TopologySpec::Fitness {
-                    nodes,
-                    m,
-                    distribution: FitnessDistribution::from_json(req(value, "distribution", CTX)?)?,
-                    cutoff,
-                })
-            }
-            "local_events" => {
-                fields(&["p_add_links", "q_rewire"])?;
-                Ok(TopologySpec::LocalEvents {
-                    nodes,
-                    m,
-                    p_add_links: req_f64(value, "p_add_links", CTX)?,
-                    q_rewire: req_f64(value, "q_rewire", CTX)?,
-                    cutoff,
-                })
-            }
-            "attractiveness" => {
-                fields(&["a"])?;
-                Ok(TopologySpec::Attractiveness {
-                    nodes,
-                    m,
-                    a: req_f64(value, "a", CTX)?,
-                    cutoff,
-                })
-            }
-            other => Err(ScenarioError::invalid(format!(
-                "{CTX}: unknown family \"{other}\""
-            ))),
-        }
-    }
-}
+json_map! { enum SearchSpec ["algorithm"] {
+    Flooding = "flooding",
+    NormalizedFlooding = "normalized_flooding" { k_min: "k_min" = None },
+    ProbabilisticFlooding = "probabilistic_flooding" { p: "p" },
+    ExpandingRing = "expanding_ring" { initial_ttl: "initial_ttl", increment: "increment" },
+    RandomWalk = "random_walk",
+    MultipleRandomWalk = "multiple_random_walk" { walkers: "walkers" },
+    DegreeBiasedWalk = "degree_biased_walk",
+    RwNormalizedToNf = "rw_normalized_to_nf" { k_min: "k_min" = None },
+} }
 
-fn opt_k_min(value: &JsonValue) -> Result<Option<usize>, ScenarioError> {
-    opt_usize(value, "k_min", "search")
-}
+json_map! { enum DynamicsSpec ["kind"] {
+    Static = "static",
+    Churn = "churn" { sim: "sim" },
+    Trace = "trace" { trace: "trace", run: "run" },
+    Live = "live" { live: "live", snapshot: "snapshot" },
+} }
 
-impl ToJson for SearchSpec {
-    fn to_json(&self) -> JsonValue {
-        let tag = |s: &str| ("algorithm".to_string(), JsonValue::from_str_value(s));
-        match *self {
-            SearchSpec::Flooding => JsonValue::Object(vec![tag("flooding")]),
-            SearchSpec::NormalizedFlooding { k_min } => JsonValue::Object(vec![
-                tag("normalized_flooding"),
-                ("k_min".to_string(), JsonValue::from_opt_usize(k_min)),
-            ]),
-            SearchSpec::ProbabilisticFlooding { p } => JsonValue::Object(vec![
-                tag("probabilistic_flooding"),
-                ("p".to_string(), JsonValue::from_f64(p)),
-            ]),
-            SearchSpec::ExpandingRing {
-                initial_ttl,
-                increment,
-            } => JsonValue::Object(vec![
-                tag("expanding_ring"),
-                (
-                    "initial_ttl".to_string(),
-                    JsonValue::from_u64(u64::from(initial_ttl)),
-                ),
-                (
-                    "increment".to_string(),
-                    JsonValue::from_u64(u64::from(increment)),
-                ),
-            ]),
-            SearchSpec::RandomWalk => JsonValue::Object(vec![tag("random_walk")]),
-            SearchSpec::MultipleRandomWalk { walkers } => JsonValue::Object(vec![
-                tag("multiple_random_walk"),
-                ("walkers".to_string(), JsonValue::from_usize(walkers)),
-            ]),
-            SearchSpec::DegreeBiasedWalk => JsonValue::Object(vec![tag("degree_biased_walk")]),
-            SearchSpec::RwNormalizedToNf { k_min } => JsonValue::Object(vec![
-                tag("rw_normalized_to_nf"),
-                ("k_min".to_string(), JsonValue::from_opt_usize(k_min)),
-            ]),
-        }
-    }
-}
+// Every sweep field has a default, so pre-engine and pre-`sfo-net` spec files (no
+// `shard_count`/`batch`/`workers`/`placed`) and degree-distribution sweeps (no
+// `ttls`/`searches_per_point`) still parse.
+json_map! { struct SweepSpec {
+    stubs: "stubs" = Vec::new(),
+    cutoffs: "cutoffs" = Vec::new(),
+    ttls: "ttls" = Vec::new(),
+    searches_per_point: "searches_per_point" = 0,
+    threads: "threads" = 0,
+    shard_count: "shard_count" = 0,
+    batch: "batch" = false,
+    workers: "workers" = Vec::new(),
+    placed: "placed" = false,
+} }
 
-impl FromJson for SearchSpec {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "search";
-        let fields = |extra: &[&str]| {
-            let mut allowed: Vec<&str> = vec!["algorithm"];
-            allowed.extend_from_slice(extra);
-            check_fields(value, CTX, &allowed)
-        };
-        match req_str(value, "algorithm", CTX)? {
-            "flooding" => {
-                fields(&[])?;
-                Ok(SearchSpec::Flooding)
-            }
-            "normalized_flooding" => {
-                fields(&["k_min"])?;
-                Ok(SearchSpec::NormalizedFlooding {
-                    k_min: opt_k_min(value)?,
-                })
-            }
-            "probabilistic_flooding" => {
-                fields(&["p"])?;
-                Ok(SearchSpec::ProbabilisticFlooding {
-                    p: req_f64(value, "p", CTX)?,
-                })
-            }
-            "expanding_ring" => {
-                fields(&["initial_ttl", "increment"])?;
-                Ok(SearchSpec::ExpandingRing {
-                    initial_ttl: req_u32(value, "initial_ttl", CTX)?,
-                    increment: req_u32(value, "increment", CTX)?,
-                })
-            }
-            "random_walk" => {
-                fields(&[])?;
-                Ok(SearchSpec::RandomWalk)
-            }
-            "multiple_random_walk" => {
-                fields(&["walkers"])?;
-                Ok(SearchSpec::MultipleRandomWalk {
-                    walkers: req_usize(value, "walkers", CTX)?,
-                })
-            }
-            "degree_biased_walk" => {
-                fields(&[])?;
-                Ok(SearchSpec::DegreeBiasedWalk)
-            }
-            "rw_normalized_to_nf" => {
-                fields(&["k_min"])?;
-                Ok(SearchSpec::RwNormalizedToNf {
-                    k_min: opt_k_min(value)?,
-                })
-            }
-            other => Err(ScenarioError::invalid(format!(
-                "{CTX}: unknown algorithm \"{other}\""
-            ))),
-        }
-    }
-}
+json_map! { enum MeasureSpec ["kind"] {
+    SearchSweep = "search_sweep",
+    DegreeDistribution = "degree_distribution" { bins_per_decade: "bins_per_decade" },
+} }
 
-impl ToJson for DynamicsSpec {
-    fn to_json(&self) -> JsonValue {
-        let mut members = vec![("kind".to_string(), JsonValue::from_str_value(self.kind()))];
-        match self {
-            DynamicsSpec::Static => {}
-            DynamicsSpec::Churn { sim } => members.push(("sim".to_string(), sim.to_json())),
-            DynamicsSpec::Trace { trace, run } => {
-                members.push(("trace".to_string(), trace.to_json()));
-                members.push(("run".to_string(), run.to_json()));
-            }
-            DynamicsSpec::Live { live, snapshot } => {
-                members.push(("live".to_string(), live.to_json()));
-                members.push(("snapshot".to_string(), JsonValue::from_str_value(snapshot)));
-            }
-        }
-        JsonValue::Object(members)
-    }
-}
-
-impl FromJson for DynamicsSpec {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "dynamics";
-        match req_str(value, "kind", CTX)? {
-            "static" => {
-                check_fields(value, CTX, &["kind"])?;
-                Ok(DynamicsSpec::Static)
-            }
-            "churn" => {
-                check_fields(value, CTX, &["kind", "sim"])?;
-                Ok(DynamicsSpec::Churn {
-                    sim: SimulationConfig::from_json(req(value, "sim", CTX)?)?,
-                })
-            }
-            "trace" => {
-                check_fields(value, CTX, &["kind", "trace", "run"])?;
-                Ok(DynamicsSpec::Trace {
-                    trace: ChurnTraceConfig::from_json(req(value, "trace", CTX)?)?,
-                    run: TraceRunConfig::from_json(req(value, "run", CTX)?)?,
-                })
-            }
-            "live" => {
-                check_fields(value, CTX, &["kind", "live", "snapshot"])?;
-                Ok(DynamicsSpec::Live {
-                    live: LiveConfig::from_json(req(value, "live", CTX)?)?,
-                    snapshot: req_str(value, "snapshot", CTX)?.to_string(),
-                })
-            }
-            other => Err(ScenarioError::invalid(format!(
-                "{CTX}: unknown kind \"{other}\" (expected static, churn, trace, or live)"
-            ))),
-        }
-    }
-}
-
-impl ToJson for SweepSpec {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "stubs".to_string(),
-                JsonValue::Array(
-                    self.stubs
-                        .iter()
-                        .map(|&m| JsonValue::from_usize(m))
-                        .collect(),
-                ),
-            ),
-            (
-                "cutoffs".to_string(),
-                JsonValue::Array(
-                    self.cutoffs
-                        .iter()
-                        .map(|&c| JsonValue::from_opt_usize(c))
-                        .collect(),
-                ),
-            ),
-            (
-                "ttls".to_string(),
-                JsonValue::Array(
-                    self.ttls
-                        .iter()
-                        .map(|&t| JsonValue::from_u64(u64::from(t)))
-                        .collect(),
-                ),
-            ),
-            (
-                "searches_per_point".to_string(),
-                JsonValue::from_usize(self.searches_per_point),
-            ),
-            ("threads".to_string(), JsonValue::from_usize(self.threads)),
-            (
-                "shard_count".to_string(),
-                JsonValue::from_usize(self.shard_count),
-            ),
-            ("batch".to_string(), JsonValue::Bool(self.batch)),
-            (
-                "workers".to_string(),
-                JsonValue::Array(
-                    self.workers
-                        .iter()
-                        .map(|w| JsonValue::from_str_value(w))
-                        .collect(),
-                ),
-            ),
-            ("placed".to_string(), JsonValue::Bool(self.placed)),
-        ])
-    }
-}
-
-impl FromJson for SweepSpec {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "sweep";
-        check_fields(
-            value,
-            CTX,
-            &[
-                "stubs",
-                "cutoffs",
-                "ttls",
-                "searches_per_point",
-                "threads",
-                "shard_count",
-                "batch",
-                "workers",
-                "placed",
-            ],
-        )?;
-        let stubs = match value.get("stubs") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ScenarioError::invalid("sweep: \"stubs\" must be an array"))?
-                .iter()
-                .map(|item| {
-                    item.as_usize()
-                        .ok_or_else(|| ScenarioError::invalid("sweep: stubs must be integers"))
-                })
-                .collect::<Result<Vec<usize>, ScenarioError>>()?,
-        };
-        let cutoffs = match value.get("cutoffs") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ScenarioError::invalid("sweep: \"cutoffs\" must be an array"))?
-                .iter()
-                .map(|item| {
-                    if item.is_null() {
-                        Ok(None)
-                    } else {
-                        item.as_usize().map(Some).ok_or_else(|| {
-                            ScenarioError::invalid("sweep: cutoffs must be integers or null")
-                        })
-                    }
-                })
-                .collect::<Result<Vec<Option<usize>>, ScenarioError>>()?,
-        };
-        // Absent `ttls`/`searches_per_point` default to the empty measurement (the shape
-        // degree-distribution scenarios use); search sweeps enforce non-empty values at
-        // validation time.
-        let ttls = match value.get("ttls") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ScenarioError::invalid("sweep: \"ttls\" must be an array"))?
-                .iter()
-                .map(|item| {
-                    item.as_u64()
-                        .and_then(|t| u32::try_from(t).ok())
-                        .ok_or_else(|| {
-                            ScenarioError::invalid("sweep: ttls must be 32-bit integers")
-                        })
-                })
-                .collect::<Result<Vec<u32>, ScenarioError>>()?,
-        };
-        let threads = opt_usize(value, "threads", CTX)?.unwrap_or(0);
-        let batch = match value.get("batch") {
-            None => false,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| ScenarioError::invalid("sweep: \"batch\" must be a boolean"))?,
-        };
-        // Absent `workers` (every pre-`sfo-net` spec file) means local execution.
-        let workers = match value.get("workers") {
-            None => Vec::new(),
-            Some(v) => v
-                .as_array()
-                .ok_or_else(|| ScenarioError::invalid("sweep: \"workers\" must be an array"))?
-                .iter()
-                .map(|item| {
-                    item.as_str().map(str::to_string).ok_or_else(|| {
-                        ScenarioError::invalid(
-                            "sweep: workers must be address strings \
-                             (\"host:port\" or \"unix:/path\")",
-                        )
-                    })
-                })
-                .collect::<Result<Vec<String>, ScenarioError>>()?,
-        };
-        // Absent `placed` (every pre-placement spec file) means whole-snapshot ranges.
-        let placed = match value.get("placed") {
-            None => false,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| ScenarioError::invalid("sweep: \"placed\" must be a boolean"))?,
-        };
-        Ok(SweepSpec {
-            stubs,
-            cutoffs,
-            ttls,
-            searches_per_point: opt_usize(value, "searches_per_point", CTX)?.unwrap_or(0),
-            threads,
-            shard_count: opt_usize(value, "shard_count", CTX)?.unwrap_or(0),
-            batch,
-            workers,
-            placed,
-        })
-    }
-}
-
-impl ToJson for ScenarioSpec {
-    fn to_json(&self) -> JsonValue {
-        let opt = |v: Option<JsonValue>| v.unwrap_or(JsonValue::Null);
-        JsonValue::Object(vec![
-            ("name".to_string(), JsonValue::from_str_value(&self.name)),
-            (
-                "topology".to_string(),
-                opt(self.topology.as_ref().map(ToJson::to_json)),
-            ),
-            (
-                "search".to_string(),
-                opt(self.search.as_ref().map(ToJson::to_json)),
-            ),
-            ("dynamics".to_string(), self.dynamics.to_json()),
-            (
-                "sweep".to_string(),
-                opt(self.sweep.as_ref().map(ToJson::to_json)),
-            ),
-            ("measure".to_string(), self.measure.to_json()),
-            ("seed".to_string(), JsonValue::from_u64(self.seed)),
-            (
-                "realizations".to_string(),
-                JsonValue::from_usize(self.realizations),
-            ),
-            (
-                "curve_label".to_string(),
-                opt(self.curve_label.as_deref().map(JsonValue::from_str_value)),
-            ),
-        ])
-    }
-}
-
-impl FromJson for ScenarioSpec {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "scenario";
-        check_fields(
-            value,
-            CTX,
-            &[
-                "name",
-                "topology",
-                "search",
-                "dynamics",
-                "sweep",
-                "measure",
-                "seed",
-                "realizations",
-                "curve_label",
-            ],
-        )?;
-        let section = |key: &str| -> Option<&JsonValue> { value.get(key).filter(|v| !v.is_null()) };
-        Ok(ScenarioSpec {
-            name: req_str(value, "name", CTX)?.to_string(),
-            topology: section("topology")
-                .map(TopologySpec::from_json)
-                .transpose()?,
-            search: section("search").map(SearchSpec::from_json).transpose()?,
-            dynamics: DynamicsSpec::from_json(req(value, "dynamics", CTX)?)?,
-            sweep: section("sweep").map(SweepSpec::from_json).transpose()?,
-            // Absent (pre-engine spec files) defaults to the search sweep.
-            measure: section("measure")
-                .map(MeasureSpec::from_json)
-                .transpose()?
-                .unwrap_or(MeasureSpec::SearchSweep),
-            seed: req_u64(value, "seed", CTX)?,
-            realizations: req_usize(value, "realizations", CTX)?,
-            curve_label: section("curve_label")
-                .map(|v| {
-                    v.as_str().map(str::to_string).ok_or_else(|| {
-                        ScenarioError::invalid("scenario: \"curve_label\" must be a string")
-                    })
-                })
-                .transpose()?,
-        })
-    }
-}
+json_map! { struct ScenarioSpec {
+    name: "name",
+    topology: "topology" = None,
+    search: "search" = None,
+    dynamics: "dynamics",
+    sweep: "sweep" = None,
+    measure: "measure" = MeasureSpec::SearchSweep,
+    seed: "seed",
+    realizations: "realizations",
+    curve_label: "curve_label" = None,
+} }
 
 #[cfg(test)]
 mod tests {

@@ -20,8 +20,7 @@
 //!   which *other* requests were shed: load testing observes the serving path, it
 //!   never perturbs results (determinism rule 6).
 
-use crate::codec::{check_fields, req, req_f64, req_str, req_u32, req_u64, req_usize};
-use crate::json::{FromJson, JsonValue, ToJson};
+use crate::json::{json_map, FromJson, JsonValue, ToJson};
 use crate::spec::SearchSpec;
 use crate::ScenarioError;
 use rand::Rng;
@@ -275,124 +274,24 @@ impl WorkloadSpec {
     }
 }
 
-impl ToJson for ArrivalSpec {
-    fn to_json(&self) -> JsonValue {
-        match *self {
-            ArrivalSpec::Poisson { rate_hz } => JsonValue::Object(vec![
-                ("process".to_string(), JsonValue::from_str_value("poisson")),
-                ("rate_hz".to_string(), JsonValue::from_f64(rate_hz)),
-            ]),
-            ArrivalSpec::Bursty {
-                rate_hz,
-                shape,
-                mean_on_secs,
-                mean_off_secs,
-            } => JsonValue::Object(vec![
-                ("process".to_string(), JsonValue::from_str_value("bursty")),
-                ("rate_hz".to_string(), JsonValue::from_f64(rate_hz)),
-                ("shape".to_string(), JsonValue::from_f64(shape)),
-                (
-                    "mean_on_secs".to_string(),
-                    JsonValue::from_f64(mean_on_secs),
-                ),
-                (
-                    "mean_off_secs".to_string(),
-                    JsonValue::from_f64(mean_off_secs),
-                ),
-            ]),
-        }
-    }
-}
+json_map! { enum ArrivalSpec ["process"] {
+    Poisson = "poisson" { rate_hz: "rate_hz" },
+    Bursty = "bursty" {
+        rate_hz: "rate_hz", shape: "shape", mean_on_secs: "mean_on_secs",
+        mean_off_secs: "mean_off_secs"
+    },
+} }
 
-impl FromJson for ArrivalSpec {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "arrival spec";
-        match req_str(value, "process", CTX)? {
-            "poisson" => {
-                check_fields(value, CTX, &["process", "rate_hz"])?;
-                Ok(ArrivalSpec::Poisson {
-                    rate_hz: req_f64(value, "rate_hz", CTX)?,
-                })
-            }
-            "bursty" => {
-                check_fields(
-                    value,
-                    CTX,
-                    &[
-                        "process",
-                        "rate_hz",
-                        "shape",
-                        "mean_on_secs",
-                        "mean_off_secs",
-                    ],
-                )?;
-                Ok(ArrivalSpec::Bursty {
-                    rate_hz: req_f64(value, "rate_hz", CTX)?,
-                    shape: req_f64(value, "shape", CTX)?,
-                    mean_on_secs: req_f64(value, "mean_on_secs", CTX)?,
-                    mean_off_secs: req_f64(value, "mean_off_secs", CTX)?,
-                })
-            }
-            other => Err(ScenarioError::invalid(format!(
-                "{CTX}: unknown process \"{other}\" (expected poisson or bursty)"
-            ))),
-        }
-    }
-}
-
-impl ToJson for WorkloadSpec {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("name".to_string(), JsonValue::from_str_value(&self.name)),
-            ("arrivals".to_string(), self.arrivals.to_json()),
-            (
-                "duration_secs".to_string(),
-                JsonValue::from_f64(self.duration_secs),
-            ),
-            (
-                "connections".to_string(),
-                JsonValue::from_usize(self.connections),
-            ),
-            (
-                "jobs_per_request".to_string(),
-                JsonValue::from_usize(self.jobs_per_request),
-            ),
-            ("search".to_string(), self.search.to_json()),
-            ("ttl".to_string(), JsonValue::from_u64(u64::from(self.ttl))),
-            ("seed".to_string(), JsonValue::from_u64(self.seed)),
-        ])
-    }
-}
-
-impl FromJson for WorkloadSpec {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "workload spec";
-        check_fields(
-            value,
-            CTX,
-            &[
-                "name",
-                "arrivals",
-                "duration_secs",
-                "connections",
-                "jobs_per_request",
-                "search",
-                "ttl",
-                "seed",
-            ],
-        )?;
-        Ok(WorkloadSpec {
-            name: req_str(value, "name", CTX)?.to_string(),
-            arrivals: ArrivalSpec::from_json(req(value, "arrivals", CTX)?)?,
-            duration_secs: req_f64(value, "duration_secs", CTX)?,
-            connections: req_usize(value, "connections", CTX)?,
-            jobs_per_request: req_usize(value, "jobs_per_request", CTX)?,
-            search: SearchSpec::from_json(req(value, "search", CTX)?)?,
-            ttl: req_u32(value, "ttl", CTX)?,
-            seed: req_u64(value, "seed", CTX)?,
-        })
-    }
-}
+json_map! { struct WorkloadSpec {
+    name: "name",
+    arrivals: "arrivals",
+    duration_secs: "duration_secs",
+    connections: "connections",
+    jobs_per_request: "jobs_per_request",
+    search: "search",
+    ttl: "ttl",
+    seed: "seed",
+} }
 
 #[cfg(test)]
 mod tests {

@@ -730,3 +730,167 @@ fn canonical_json_matches_the_golden_bytes() {
         );
     }
 }
+
+/// One step from a JSON node to a child: an object member or an array element.
+#[derive(Clone, Debug)]
+enum Step {
+    Member(String),
+    Element(usize),
+}
+
+/// Collects the path of every object node under `value`, parents before children.
+fn object_paths(value: &JsonValue, path: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+    match value {
+        JsonValue::Object(members) => {
+            out.push(path.clone());
+            for (key, child) in members {
+                path.push(Step::Member(key.clone()));
+                object_paths(child, path, out);
+                path.pop();
+            }
+        }
+        JsonValue::Array(items) => {
+            for (i, child) in items.iter().enumerate() {
+                path.push(Step::Element(i));
+                object_paths(child, path, out);
+                path.pop();
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The members of the object at `path`.
+fn members_at<'a>(root: &'a mut JsonValue, path: &[Step]) -> &'a mut Vec<(String, JsonValue)> {
+    let mut node = root;
+    for step in path {
+        node = match (node, step) {
+            (JsonValue::Object(members), Step::Member(key)) => {
+                &mut members.iter_mut().find(|(k, _)| k == key).unwrap().1
+            }
+            (JsonValue::Array(items), Step::Element(i)) => &mut items[*i],
+            _ => unreachable!("paths come from object_paths"),
+        };
+    }
+    match node {
+        JsonValue::Object(members) => members,
+        _ => unreachable!("object_paths lists objects only"),
+    }
+}
+
+/// The documented default-when-absent members: every `SweepSpec` field, the optional
+/// sections of a `ScenarioSpec`, every `cutoff`, and the `k_min` of a `SearchSpec`
+/// (a `QueryMethod`'s `k_min` is required).
+fn defaults_when_absent(kind: Golden, path: &[Step], key: &str) -> bool {
+    let parent = match path.last() {
+        Some(Step::Member(name)) => Some(name.as_str()),
+        _ => None,
+    };
+    let scenario_object = match kind {
+        Golden::Spec => path.is_empty(),
+        Golden::Report => matches!(path, [Step::Member(name)] if name == "spec"),
+        Golden::Workload => false,
+    };
+    match key {
+        "cutoff" => true,
+        "k_min" => parent == Some("search"),
+        "topology" | "search" | "sweep" | "measure" | "curve_label" if scenario_object => true,
+        _ => parent == Some("sweep"),
+    }
+}
+
+#[test]
+fn every_object_rejects_unknown_members_and_requires_its_required_ones() {
+    const TAGS: [&str; 7] = [
+        "kind",
+        "family",
+        "algorithm",
+        "method",
+        "strategy",
+        "model",
+        "process",
+    ];
+    let mut objects = 0;
+    for (name, kind, json) in golden_values() {
+        let mut paths = Vec::new();
+        object_paths(&json, &mut Vec::new(), &mut paths);
+        for path in paths {
+            objects += 1;
+            let at = format!("{name} at {path:?}");
+
+            // An unknown member is refused, naming itself and the allowed set.
+            let mut extended = json.clone();
+            members_at(&mut extended, &path).push(("zz_unknown".to_string(), JsonValue::Null));
+            match kind.decode(&extended) {
+                Err(ScenarioError::InvalidSpec { reason }) => assert!(
+                    reason.contains("\"zz_unknown\"") && reason.contains("allowed"),
+                    "{at}: {reason}"
+                ),
+                other => panic!("{at}: an unknown member decoded to {other:?}"),
+            }
+
+            let keys: Vec<String> = members_at(&mut json.clone(), &path)
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect();
+            for (i, key) in keys.iter().enumerate() {
+                // Deleting a member either falls back to its documented default or
+                // fails as an invalid spec.
+                let mut trimmed = json.clone();
+                members_at(&mut trimmed, &path).remove(i);
+                let result = kind.decode(&trimmed);
+                if defaults_when_absent(kind, &path, key) {
+                    assert!(result.is_ok(), "{at}: dropping \"{key}\": {result:?}");
+                } else {
+                    assert!(
+                        matches!(result, Err(ScenarioError::InvalidSpec { .. })),
+                        "{at}: dropping required \"{key}\" decoded to {result:?}"
+                    );
+                }
+
+                // An unknown tag value is refused, naming the value.
+                if TAGS.contains(&key.as_str()) {
+                    let mut retagged = json.clone();
+                    members_at(&mut retagged, &path)[i].1 =
+                        JsonValue::String("zz_bogus".to_string());
+                    match kind.decode(&retagged) {
+                        Err(ScenarioError::InvalidSpec { reason }) => {
+                            assert!(reason.contains("\"zz_bogus\""), "{at}: {reason}")
+                        }
+                        other => panic!("{at}: tag \"zz_bogus\" decoded to {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+    assert!(objects > 100, "the sweep visited only {objects} objects");
+}
+
+#[test]
+fn thirty_two_bit_fields_refuse_wider_integers() {
+    let too_wide = JsonValue::from_u64(u64::from(u32::MAX) + 1);
+    let spec = all_spec_variants()
+        .into_iter()
+        .find(|s| matches!(s.topology, Some(TopologySpec::DapaGrn { .. })))
+        .unwrap();
+    let mut json = spec.to_json();
+    members_at(&mut json, &[Step::Member("topology".to_string())])
+        .iter_mut()
+        .find(|(k, _)| k == "tau_sub")
+        .unwrap()
+        .1 = too_wide.clone();
+    assert!(matches!(
+        ScenarioSpec::from_json(&json),
+        Err(ScenarioError::InvalidSpec { .. })
+    ));
+    let mut json = spec.to_json();
+    members_at(&mut json, &[Step::Member("sweep".to_string())])
+        .iter_mut()
+        .find(|(k, _)| k == "ttls")
+        .unwrap()
+        .1 = JsonValue::Array(vec![too_wide]);
+    assert!(matches!(
+        ScenarioSpec::from_json(&json),
+        Err(ScenarioError::InvalidSpec { .. })
+    ));
+}
