@@ -386,6 +386,40 @@ fn invalid_utf8_and_malformed_specs_are_corrupt() {
 }
 
 #[test]
+fn deeply_nested_search_specs_are_corrupt_not_a_stack_overflow() {
+    // A SubmitBatch frame whose search-spec string nests a million brackets: the JSON
+    // parser's depth cap turns it into a typed error instead of exhausting the stack.
+    let (message_type, payload) = Message::SubmitBatch(BatchRequest::SweepRange {
+        seed: 1,
+        start: 0,
+        end: 1,
+        searches_per_point: 1,
+        ttls: vec![1],
+        search: SearchSpec::Flooding,
+    })
+    .encode();
+    let spec = sfoverlay::scenario::json::ToJson::to_json(&SearchSpec::Flooding).to_pretty_string();
+    let at = payload
+        .windows(spec.len())
+        .position(|w| w == spec.as_bytes())
+        .expect("the payload carries the spec text");
+    let splice = |text: &str| {
+        let mut spliced = payload[..at - 4].to_vec();
+        spliced.extend_from_slice(&(text.len() as u32).to_le_bytes());
+        spliced.extend_from_slice(text.as_bytes());
+        spliced.extend_from_slice(&payload[at + spec.len()..]);
+        encode_frame(message_type, &spliced)
+    };
+    assert!(recv_message(&mut splice(&spec).as_slice()).is_ok());
+    for nested in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+        assert!(matches!(
+            recv_message(&mut splice(&nested).as_slice()),
+            Err(NetError::Corrupt { .. })
+        ));
+    }
+}
+
+#[test]
 fn placed_frames_detect_every_single_bit_flip() {
     // The FNV trailer (or a structural check it guards) must catch any one-byte
     // corruption in a LoadShard, ForwardFrontier, or FrontierResult frame.
