@@ -529,39 +529,52 @@ fn summarize_loadtest(report: &LoadtestReport) {
 /// Shapes a loadtest report as the flat `BENCH_*.json` row array the bench regression
 /// gate (.github/scripts/compare_bench.py) understands. Latencies are reported in
 /// nanoseconds like every other bench row; every value is clamped away from zero so a
-/// baseline row can never produce an infinite regression ratio.
+/// baseline row can never produce an infinite regression ratio. The latency rows share
+/// the run's exact latency bounds; `request_period` is one aggregate value, so its
+/// bounds are that value.
 fn loadtest_bench_rows(name: &str, report: &LoadtestReport) -> JsonValue {
     let completed = report.completed.max(1);
     let min_ns = (report.min_latency_micros.max(1) * 1_000) as f64;
     let max_ns = (report.latency.max.max(1) * 1_000) as f64;
-    let mean_ns = ((report.latency.sum as f64 / completed as f64) * 1_000.0).max(1.0);
-    let row = |id: String, mean: f64| {
+    let row = |id: String, min: f64, mean: f64, max: f64| {
         JsonValue::Object(vec![
             ("id".to_string(), JsonValue::from_str_value(&id)),
-            ("min_ns".to_string(), JsonValue::from_f64(min_ns)),
-            ("mean_ns".to_string(), JsonValue::from_f64(mean.max(1.0))),
-            ("max_ns".to_string(), JsonValue::from_f64(max_ns)),
+            ("min_ns".to_string(), JsonValue::from_f64(min)),
+            ("mean_ns".to_string(), JsonValue::from_f64(mean)),
+            ("max_ns".to_string(), JsonValue::from_f64(max)),
             ("iterations".to_string(), JsonValue::from_u64(completed)),
         ])
     };
+    // Latency means and quantiles already lie within the exact bounds; the clamp only
+    // matters when the away-from-zero floor lifts `min_ns` above a sub-µs mean.
+    let latency = |id: String, mean: f64| row(id, min_ns, mean.clamp(min_ns, max_ns), max_ns);
+    let quantile = |micros: u64| (micros.max(1) * 1_000) as f64;
     // request_period is wall-clock per completed request — it degrades (grows) when
     // the serve path slows down or sheds more, which is the direction the gate checks.
     let period_ns = (report.elapsed_secs * 1e9 / completed as f64).max(1.0);
     JsonValue::Array(vec![
-        row(format!("serve/{name}/latency"), mean_ns),
-        row(
+        latency(
+            format!("serve/{name}/latency"),
+            report.latency.sum as f64 / completed as f64 * 1_000.0,
+        ),
+        latency(
             format!("serve/{name}/latency_p50"),
-            (report.latency.p50().max(1) * 1_000) as f64,
+            quantile(report.latency.p50()),
         ),
-        row(
+        latency(
             format!("serve/{name}/latency_p95"),
-            (report.latency.p95().max(1) * 1_000) as f64,
+            quantile(report.latency.p95()),
+        ),
+        latency(
+            format!("serve/{name}/latency_p99"),
+            quantile(report.latency.p99()),
         ),
         row(
-            format!("serve/{name}/latency_p99"),
-            (report.latency.p99().max(1) * 1_000) as f64,
+            format!("serve/{name}/request_period"),
+            period_ns,
+            period_ns,
+            period_ns,
         ),
-        row(format!("serve/{name}/request_period"), period_ns),
     ])
 }
 
@@ -1282,4 +1295,54 @@ fn template(kind: Option<&str>) -> ExitCode {
     println!("// independent of both knobs and of --threads.");
     print!("{}", spec.to_json_string());
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sfoverlay::prelude::{HistogramSnapshot, Registry};
+
+    fn report(latencies_micros: &[u64], elapsed_secs: f64) -> LoadtestReport {
+        let latency = Registry::new().histogram("latency");
+        for &micros in latencies_micros {
+            latency.record(micros);
+        }
+        let completed = latencies_micros.len() as u64;
+        LoadtestReport {
+            offered: completed,
+            sent: completed,
+            completed,
+            shed: 0,
+            errors: 0,
+            decode_errors: 0,
+            elapsed_secs,
+            offered_rate_hz: 100.0,
+            achieved_rate_hz: completed as f64 / elapsed_secs,
+            latency: latency.snapshot(),
+            min_latency_micros: latencies_micros.iter().copied().min().unwrap_or(0),
+            inflight: HistogramSnapshot::default(),
+            outcomes: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn every_bench_row_keeps_its_mean_within_its_bounds() {
+        let reports = [
+            // A request period (250 ms) far above the largest latency (1.8 ms).
+            report(&[43, 250, 900, 1812], 1.0),
+            // Sub-microsecond latencies, and a run that completed nothing.
+            report(&[0, 0, 1], 0.001),
+            report(&[], 0.5),
+        ];
+        for report in &reports {
+            let rows = loadtest_bench_rows("rows", report);
+            for row in rows.as_array().unwrap() {
+                let ns = |key| row.get(key).and_then(JsonValue::as_f64).unwrap();
+                assert!(
+                    ns("min_ns") <= ns("mean_ns") && ns("mean_ns") <= ns("max_ns"),
+                    "{row}"
+                );
+            }
+        }
+    }
 }
