@@ -1,7 +1,7 @@
 //! Generation cost of the extended generator family (paper §III-C variants).
 //!
-//! Complements `topology_generation.rs` (which covers the paper's four core mechanisms) with
-//! the modified preferential-attachment models: nonlinear PA, the fitness model, the
+//! Complements perfbench's `core.generate_s.*` timings of the paper's four core mechanisms
+//! with the modified preferential-attachment models: nonlinear PA, the fitness model, the
 //! local-events model, the initial-attractiveness model, and the uncorrelated configuration
 //! model — each with the hard cutoff that the rest of the workspace defaults to.
 
