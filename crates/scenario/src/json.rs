@@ -17,8 +17,8 @@
 //!
 //! As one extension over strict JSON, the parser skips `//` line comments, so the spec
 //! files shipped under `examples/` can carry the header comments tying them to the paper
-//! figures they reproduce. Nesting deeper than [`MAX_DEPTH`] is refused with a parse
-//! error, so a hostile document cannot exhaust the stack of the recursive descent.
+//! figures they reproduce. Nesting deeper than 128 arrays and objects is refused with a
+//! parse error, so a hostile document cannot exhaust the stack of the recursive descent.
 //!
 //! Types map to JSON through one rule, stated once per type as a `json_map!` field
 //! table: members are written in table order, unknown members are refused, and
@@ -319,7 +319,7 @@ fn write_string(out: &mut String, s: &str) {
 
 /// The deepest array/object nesting the parser accepts; the shipped specs and reports
 /// nest fewer than ten levels.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
     bytes: &'a [u8],

@@ -846,16 +846,6 @@ pub enum MeasureSpec {
     },
 }
 
-impl MeasureSpec {
-    /// The kind tag used in the JSON encoding.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            MeasureSpec::SearchSweep => "search_sweep",
-            MeasureSpec::DegreeDistribution { .. } => "degree_distribution",
-        }
-    }
-}
-
 /// A complete, serializable scenario: one cell (or grid) of the paper's evaluation.
 ///
 /// Static search sweeps require `topology`, `search`, and `sweep`; degree-distribution
