@@ -607,14 +607,14 @@ pub(crate) fn required<T: FromJson>(value: &JsonValue, key: &str) -> Result<T, S
     }
 }
 
-/// Reads the member `key` of an object, or `default()` when it is absent or `null`.
+/// Reads the member `key` of an object, or `default` when it is absent or `null`.
 pub(crate) fn defaulted<T: FromJson>(
     value: &JsonValue,
     key: &str,
-    default: impl FnOnce() -> T,
+    default: T,
 ) -> Result<T, ScenarioError> {
     match value.get(key) {
-        None | Some(JsonValue::Null) => Ok(default()),
+        None | Some(JsonValue::Null) => Ok(default),
         Some(v) => T::from_json(v).map_err(|e| under(key, e)),
     }
 }
@@ -712,7 +712,7 @@ macro_rules! json_map {
         $crate::json::required($value, $key)?
     };
     (@read $value:ident, $key:literal, $default:expr) => {
-        $crate::json::defaulted($value, $key, || $default)?
+        $crate::json::defaulted($value, $key, $default)?
     };
 }
 pub(crate) use json_map;
