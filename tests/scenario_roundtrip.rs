@@ -694,17 +694,12 @@ fn canonical_json_matches_the_golden_bytes() {
     // The golden file pins the writer's exact output — member order, number forms,
     // `null` for absent options, layout — so any change to how a type maps to JSON
     // shows up here as a byte diff, not just as a lossless-but-different round trip.
-    // Regenerate it (only for an intended format change) with
-    // `SFO_BLESS=1 cargo test --test scenario_roundtrip canonical_json`.
     let mut text = String::new();
     for (name, _, json) in golden_values() {
         text.push_str(&format!("=== {name}\n"));
         text.push_str(&json.to_pretty_string());
     }
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    if std::env::var_os("SFO_BLESS").is_some() {
-        std::fs::write(&path, &text).unwrap();
-    }
     let golden = std::fs::read_to_string(&path).expect("golden file exists");
     let expected: Vec<&str> = golden.split("=== ").collect();
     let actual: Vec<&str> = text.split("=== ").collect();
