@@ -73,107 +73,65 @@ impl FromJson for ReplicationStrategy {
 
 json_map! { enum FitnessDistribution ["kind"] {
     Uniform = "uniform",
-    UniformRange = "uniform_range" { min: "min", max: "max" },
-    Exponential = "exponential" { rate: "rate" },
+    UniformRange = "uniform_range" { min, max },
+    Exponential = "exponential" { rate },
 } }
 
 json_map! { enum JoinStrategy ["strategy"] {
     UniformRandom = "uniform_random",
     DegreePreferential = "degree_preferential",
-    HopAndAttempt = "hop_and_attempt" { max_hops_per_link: "max_hops_per_link" },
+    HopAndAttempt = "hop_and_attempt" { max_hops_per_link },
 } }
 
 json_map! { struct OverlayConfig {
-    stubs: "stubs",
-    cutoff: "cutoff" = DegreeCutoff::Unbounded,
-    join_strategy: "join_strategy",
-    repair_on_leave: "repair_on_leave",
+    stubs,
+    cutoff = DegreeCutoff::Unbounded,
+    join_strategy,
+    repair_on_leave,
 } }
 
 json_map! { enum QueryMethod ["method"] {
     Flooding = "flooding",
-    NormalizedFlooding = "normalized_flooding" { k_min: "k_min" },
+    NormalizedFlooding = "normalized_flooding" { k_min },
     RandomWalk = "random_walk",
 } }
 
 json_map! { struct SimulationConfig {
-    initial_peers: "initial_peers",
-    duration: "duration",
-    join_rate: "join_rate",
-    leave_rate: "leave_rate",
-    crash_rate: "crash_rate",
-    query_rate: "query_rate",
-    query_ttl: "query_ttl",
-    query_method: "query_method",
-    overlay: "overlay",
-    catalog_items: "catalog_items",
-    catalog_skew: "catalog_skew",
-    base_replicas: "base_replicas",
-    snapshot_interval: "snapshot_interval",
+    initial_peers, duration, join_rate, leave_rate, crash_rate, query_rate, query_ttl,
+    query_method, overlay, catalog_items, catalog_skew, base_replicas, snapshot_interval,
 } }
 
 json_map! { enum SessionModel ["model"] {
-    Exponential = "exponential" { mean: "mean" },
-    Pareto = "pareto" { shape: "shape", minimum: "minimum" },
-    Fixed = "fixed" { length: "length" },
+    Exponential = "exponential" { mean },
+    Pareto = "pareto" { shape, minimum },
+    Fixed = "fixed" { length },
 } }
 
 json_map! { struct ChurnTraceConfig {
-    duration: "duration",
-    arrival_rate: "arrival_rate",
-    sessions: "sessions",
-    crash_fraction: "crash_fraction",
+    duration, arrival_rate, sessions, crash_fraction,
 } }
 
 json_map! { enum Workload ["kind"] {
     Stationary = "stationary",
-    FlashCrowd = "flash_crowd" {
-        hot_item: "hot_item", start: "start", end: "end", intensity: "intensity"
-    },
+    FlashCrowd = "flash_crowd" { hot_item, start, end, intensity },
 } }
 
 json_map! { struct TraceRunConfig {
-    overlay: "overlay",
-    bootstrap_peers: "bootstrap_peers",
-    catalog_items: "catalog_items",
-    catalog_skew: "catalog_skew",
-    replication: "replication",
-    replica_budget: "replica_budget",
-    workload: "workload",
-    queries_per_tick: "queries_per_tick",
-    query_ttl: "query_ttl",
-    query_method: "query_method",
-    snapshot_interval: "snapshot_interval",
+    overlay, bootstrap_peers, catalog_items, catalog_skew, replication, replica_budget,
+    workload, queries_per_tick, query_ttl, query_method, snapshot_interval,
 } }
 
 json_map! { struct OverlaySample {
-    time: "time",
-    peers: "peers",
-    edges: "edges",
-    mean_degree: "mean_degree",
-    max_degree: "max_degree",
-    giant_component_fraction: "giant_component_fraction",
+    time, peers, edges, mean_degree, max_degree, giant_component_fraction,
 } }
 
 json_map! { struct ProtocolConfig {
-    active_cap: "active_cap",
-    passive_cap: "passive_cap",
-    attach_walks: "attach_walks",
-    forward_ttl: "forward_ttl",
-    shuffle_interval: "shuffle_interval",
-    shuffle_size: "shuffle_size",
-    probe_interval: "probe_interval",
-    probe_timeout: "probe_timeout",
-    suspect_grace: "suspect_grace",
+    active_cap, passive_cap, attach_walks, forward_ttl, shuffle_interval, shuffle_size,
+    probe_interval, probe_timeout, suspect_grace,
 } }
 
 json_map! { struct LiveConfig {
-    peers: "peers",
-    arrival_spacing: "arrival_spacing",
-    sessions: "sessions",
-    crash_fraction: "crash_fraction",
-    settle: "settle",
-    protocol: "protocol",
+    peers, arrival_spacing, sessions, crash_fraction, settle, protocol,
 } }
 
 #[cfg(test)]

@@ -647,46 +647,50 @@ pub(crate) fn unknown_tag(tag: &str, found: &str, expected: &[&str]) -> Scenario
 
 /// Maps a struct or a tagged enum to a JSON object through one field table.
 ///
-/// Each row `field: "key"` names a field and its JSON key; `field: "key" = default`
-/// takes `default` when the member is absent or `null`. A tagged enum names its tag
-/// key once, then each variant's tag value and its rows. From the table the macro
-/// writes [`ToJson`], emitting the members in row order (a tagged enum's tag first),
-/// and [`FromJson`], which refuses members the table does not list and reads every
-/// row through its field type's own [`FromJson`]:
+/// Each row names a field, which is also its JSON key; a row `field = default` takes
+/// `default` when the member is absent or `null`. A tagged enum names its tag key once,
+/// then each variant's tag value and its rows. From the table the macro writes
+/// [`ToJson`], emitting the members in row order (a tagged enum's tag first), and
+/// [`FromJson`], which refuses members the table does not list and reads every row
+/// through its field type's own [`FromJson`]:
 ///
 /// ```text
-/// json_map! { struct Stat { mean: "mean", std_error: "std_error", realizations: "realizations" } }
+/// json_map! { struct Stat { mean, std_error, realizations } }
 /// json_map! { enum SearchSpec ["algorithm"] {
 ///     Flooding = "flooding",
-///     NormalizedFlooding = "normalized_flooding" { k_min: "k_min" = None },
+///     NormalizedFlooding = "normalized_flooding" { k_min = None },
 /// } }
 /// ```
 macro_rules! json_map {
-    (struct $ty:ident { $($field:ident: $key:literal $(= $default:expr)?),* $(,)? }) => {
+    (struct $ty:ident { $($field:ident $(= $default:expr)?),* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::JsonValue {
-                $crate::json::JsonValue::Object(vec![
-                    $(($key.to_string(), $crate::json::ToJson::to_json(&self.$field)),)*
-                ])
+                $crate::json::JsonValue::Object(vec![$((
+                    stringify!($field).to_string(),
+                    $crate::json::ToJson::to_json(&self.$field),
+                ),)*])
             }
         }
         impl $crate::json::FromJson for $ty {
             fn from_json(
                 value: &$crate::json::JsonValue,
             ) -> Result<Self, $crate::ScenarioError> {
-                $crate::json::check_members(value, &[$($key),*])?;
-                Ok($ty { $($field: $crate::json::json_map!(@read value, $key $(, $default)?),)* })
+                $crate::json::check_members(value, &[$(stringify!($field)),*])?;
+                Ok($ty { $($field: $crate::json::json_map!(@read value, $field $(, $default)?),)* })
             }
         }
     };
     (enum $ty:ident [$tag:literal] { $($variant:ident = $value:literal
-        $({ $($field:ident: $key:literal $(= $default:expr)?),* $(,)? })?),* $(,)? }) => {
+        $({ $($field:ident $(= $default:expr)?),* $(,)? })?),* $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::JsonValue {
                 match self {
                     $($ty::$variant { $($($field),*)? } => $crate::json::JsonValue::Object(vec![
                         ($tag.to_string(), $crate::json::JsonValue::from_str_value($value)),
-                        $($(($key.to_string(), $crate::json::ToJson::to_json($field)),)*)?
+                        $($((
+                            stringify!($field).to_string(),
+                            $crate::json::ToJson::to_json($field),
+                        ),)*)?
                     ]),)*
                 }
             }
@@ -698,9 +702,9 @@ macro_rules! json_map {
                 let tag: String = $crate::json::required(value, $tag)?;
                 match tag.as_str() {
                     $($value => {
-                        $crate::json::check_members(value, &[$tag $($(, $key)*)?])?;
+                        $crate::json::check_members(value, &[$tag $($(, stringify!($field))*)?])?;
                         Ok($ty::$variant { $($($field: $crate::json::json_map!(
-                            @read value, $key $(, $default)?
+                            @read value, $field $(, $default)?
                         ),)*)? })
                     })*
                     other => Err($crate::json::unknown_tag($tag, other, &[$($value),*])),
@@ -708,11 +712,11 @@ macro_rules! json_map {
             }
         }
     };
-    (@read $value:ident, $key:literal) => {
-        $crate::json::required($value, $key)?
+    (@read $value:ident, $field:ident) => {
+        $crate::json::required($value, stringify!($field))?
     };
-    (@read $value:ident, $key:literal, $default:expr) => {
-        $crate::json::defaulted($value, $key, $default)?
+    (@read $value:ident, $field:ident, $default:expr) => {
+        $crate::json::defaulted($value, stringify!($field), $default)?
     };
 }
 pub(crate) use json_map;

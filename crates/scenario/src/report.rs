@@ -337,70 +337,42 @@ impl ScenarioReport {
 // ---------------------------------------------------------------------------------------
 // JSON field tables.
 
-json_map! { struct Stat { mean: "mean", std_error: "std_error", realizations: "realizations" } }
+json_map! { struct Stat { mean, std_error, realizations } }
 
-json_map! { struct SweepPoint { ttl: "ttl", hits: "hits", messages: "messages" } }
+json_map! { struct SweepPoint { ttl, hits, messages } }
 
-json_map! { struct SweepCurve { label: "label", points: "points" } }
+json_map! { struct SweepCurve { label, points } }
 
-json_map! { struct DegreeBinPoint { k: "k", density: "density", count: "count" } }
+json_map! { struct DegreeBinPoint { k, density, count } }
 
-json_map! { struct DegreeCurve { label: "label", points: "points" } }
+json_map! { struct DegreeCurve { label, points } }
 
 json_map! { struct ChurnRealization {
-    realization: "realization",
-    queries_issued: "queries_issued",
-    queries_successful: "queries_successful",
-    query_messages: "query_messages",
-    success_rate: "success_rate",
-    mean_query_messages: "mean_query_messages",
-    mean_hops_to_find: "mean_hops_to_find",
-    joins: "joins",
-    leaves: "leaves",
-    crashes: "crashes",
-    mean_churn_messages: "mean_churn_messages",
-    final_peers: "final_peers",
-    samples: "samples",
+    realization, queries_issued, queries_successful, query_messages, success_rate,
+    mean_query_messages, mean_hops_to_find, joins, leaves, crashes, mean_churn_messages,
+    final_peers, samples,
 } }
 
 json_map! { struct TraceRealization {
-    realization: "realization",
-    arrivals_applied: "arrivals_applied",
-    leaves_applied: "leaves_applied",
-    crashes_applied: "crashes_applied",
-    departures_skipped: "departures_skipped",
-    queries_issued: "queries_issued",
-    queries_successful: "queries_successful",
-    success_rate: "success_rate",
-    query_messages: "query_messages",
-    control_messages: "control_messages",
-    final_peers: "final_peers",
-    worst_connectivity: "worst_connectivity",
-    samples: "samples",
+    realization, arrivals_applied, leaves_applied, crashes_applied, departures_skipped,
+    queries_issued, queries_successful, success_rate, query_messages, control_messages,
+    final_peers, worst_connectivity, samples,
 } }
 
 json_map! { struct LiveRealization {
-    realization: "realization",
-    arrivals: "arrivals",
-    leaves: "leaves",
-    crashes: "crashes",
-    final_peers: "final_peers",
-    edges: "edges",
-    max_degree: "max_degree",
-    messages: "messages",
-    snapshot: "snapshot",
-    identity: "identity",
+    realization, arrivals, leaves, crashes, final_peers, edges, max_degree, messages,
+    snapshot, identity,
 } }
 
 json_map! { enum ScenarioResult ["kind"] {
-    Sweep = "sweep" { curves: "curves" },
-    DegreeDistribution = "degree_distribution" { curves: "curves" },
-    Churn = "churn" { realizations: "realizations" },
-    Trace = "trace" { realizations: "realizations" },
-    Live = "live" { realizations: "realizations" },
+    Sweep = "sweep" { curves },
+    DegreeDistribution = "degree_distribution" { curves },
+    Churn = "churn" { realizations },
+    Trace = "trace" { realizations },
+    Live = "live" { realizations },
 } }
 
-json_map! { struct ScenarioReport { spec: "spec", result: "result" } }
+json_map! { struct ScenarioReport { spec, result } }
 
 #[cfg(test)]
 mod tests {

@@ -1254,74 +1254,67 @@ impl ScenarioSpec {
 // JSON field tables.
 
 json_map! { enum TopologySpec ["family"] {
-    Pa = "pa" { nodes: "nodes", m: "m", cutoff: "cutoff" = None },
-    Hapa = "hapa" { nodes: "nodes", m: "m", cutoff: "cutoff" = None },
-    Cm = "cm" { nodes: "nodes", gamma: "gamma", m: "m", cutoff: "cutoff" = None },
-    Ucm = "ucm" { nodes: "nodes", gamma: "gamma", m: "m", cutoff: "cutoff" = None },
-    DapaGrn = "dapa_grn" { nodes: "nodes", m: "m", tau_sub: "tau_sub", cutoff: "cutoff" = None },
-    DapaMesh = "dapa_mesh" { nodes: "nodes", m: "m", tau_sub: "tau_sub", cutoff: "cutoff" = None },
-    NonlinearPa = "nonlinear_pa" {
-        nodes: "nodes", m: "m", alpha: "alpha", cutoff: "cutoff" = None
-    },
-    Fitness = "fitness" {
-        nodes: "nodes", m: "m", distribution: "distribution", cutoff: "cutoff" = None
-    },
-    LocalEvents = "local_events" {
-        nodes: "nodes", m: "m", p_add_links: "p_add_links", q_rewire: "q_rewire",
-        cutoff: "cutoff" = None
-    },
-    Attractiveness = "attractiveness" { nodes: "nodes", m: "m", a: "a", cutoff: "cutoff" = None },
-    Snapshot = "snapshot" { path: "path" },
+    Pa = "pa" { nodes, m, cutoff = None },
+    Hapa = "hapa" { nodes, m, cutoff = None },
+    Cm = "cm" { nodes, gamma, m, cutoff = None },
+    Ucm = "ucm" { nodes, gamma, m, cutoff = None },
+    DapaGrn = "dapa_grn" { nodes, m, tau_sub, cutoff = None },
+    DapaMesh = "dapa_mesh" { nodes, m, tau_sub, cutoff = None },
+    NonlinearPa = "nonlinear_pa" { nodes, m, alpha, cutoff = None },
+    Fitness = "fitness" { nodes, m, distribution, cutoff = None },
+    LocalEvents = "local_events" { nodes, m, p_add_links, q_rewire, cutoff = None },
+    Attractiveness = "attractiveness" { nodes, m, a, cutoff = None },
+    Snapshot = "snapshot" { path },
 } }
 
 json_map! { enum SearchSpec ["algorithm"] {
     Flooding = "flooding",
-    NormalizedFlooding = "normalized_flooding" { k_min: "k_min" = None },
-    ProbabilisticFlooding = "probabilistic_flooding" { p: "p" },
-    ExpandingRing = "expanding_ring" { initial_ttl: "initial_ttl", increment: "increment" },
+    NormalizedFlooding = "normalized_flooding" { k_min = None },
+    ProbabilisticFlooding = "probabilistic_flooding" { p },
+    ExpandingRing = "expanding_ring" { initial_ttl, increment },
     RandomWalk = "random_walk",
-    MultipleRandomWalk = "multiple_random_walk" { walkers: "walkers" },
+    MultipleRandomWalk = "multiple_random_walk" { walkers },
     DegreeBiasedWalk = "degree_biased_walk",
-    RwNormalizedToNf = "rw_normalized_to_nf" { k_min: "k_min" = None },
+    RwNormalizedToNf = "rw_normalized_to_nf" { k_min = None },
 } }
 
 json_map! { enum DynamicsSpec ["kind"] {
     Static = "static",
-    Churn = "churn" { sim: "sim" },
-    Trace = "trace" { trace: "trace", run: "run" },
-    Live = "live" { live: "live", snapshot: "snapshot" },
+    Churn = "churn" { sim },
+    Trace = "trace" { trace, run },
+    Live = "live" { live, snapshot },
 } }
 
 // Every sweep field has a default, so pre-engine and pre-`sfo-net` spec files (no
 // `shard_count`/`batch`/`workers`/`placed`) and degree-distribution sweeps (no
 // `ttls`/`searches_per_point`) still parse.
 json_map! { struct SweepSpec {
-    stubs: "stubs" = Vec::new(),
-    cutoffs: "cutoffs" = Vec::new(),
-    ttls: "ttls" = Vec::new(),
-    searches_per_point: "searches_per_point" = 0,
-    threads: "threads" = 0,
-    shard_count: "shard_count" = 0,
-    batch: "batch" = false,
-    workers: "workers" = Vec::new(),
-    placed: "placed" = false,
+    stubs = Vec::new(),
+    cutoffs = Vec::new(),
+    ttls = Vec::new(),
+    searches_per_point = 0,
+    threads = 0,
+    shard_count = 0,
+    batch = false,
+    workers = Vec::new(),
+    placed = false,
 } }
 
 json_map! { enum MeasureSpec ["kind"] {
     SearchSweep = "search_sweep",
-    DegreeDistribution = "degree_distribution" { bins_per_decade: "bins_per_decade" },
+    DegreeDistribution = "degree_distribution" { bins_per_decade },
 } }
 
 json_map! { struct ScenarioSpec {
-    name: "name",
-    topology: "topology" = None,
-    search: "search" = None,
-    dynamics: "dynamics",
-    sweep: "sweep" = None,
-    measure: "measure" = MeasureSpec::SearchSweep,
-    seed: "seed",
-    realizations: "realizations",
-    curve_label: "curve_label" = None,
+    name,
+    topology = None,
+    search = None,
+    dynamics,
+    sweep = None,
+    measure = MeasureSpec::SearchSweep,
+    seed,
+    realizations,
+    curve_label = None,
 } }
 
 #[cfg(test)]

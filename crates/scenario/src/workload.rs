@@ -275,22 +275,12 @@ impl WorkloadSpec {
 }
 
 json_map! { enum ArrivalSpec ["process"] {
-    Poisson = "poisson" { rate_hz: "rate_hz" },
-    Bursty = "bursty" {
-        rate_hz: "rate_hz", shape: "shape", mean_on_secs: "mean_on_secs",
-        mean_off_secs: "mean_off_secs"
-    },
+    Poisson = "poisson" { rate_hz },
+    Bursty = "bursty" { rate_hz, shape, mean_on_secs, mean_off_secs },
 } }
 
 json_map! { struct WorkloadSpec {
-    name: "name",
-    arrivals: "arrivals",
-    duration_secs: "duration_secs",
-    connections: "connections",
-    jobs_per_request: "jobs_per_request",
-    search: "search",
-    ttl: "ttl",
-    seed: "seed",
+    name, arrivals, duration_secs, connections, jobs_per_request, search, ttl, seed,
 } }
 
 #[cfg(test)]
