@@ -26,6 +26,7 @@
 //! cover the scalars, strings, options and vectors those tables are built from.
 
 use crate::ScenarioError;
+use std::collections::HashSet;
 use std::fmt;
 
 /// A JSON number, kept in the narrowest faithful representation.
@@ -181,6 +182,7 @@ impl JsonValue {
     /// Returns [`ScenarioError::Parse`] with a line/column position on malformed input.
     pub fn parse(text: &str) -> Result<JsonValue, ScenarioError> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -322,6 +324,7 @@ fn write_string(out: &mut String, s: &str) {
 pub(crate) const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -428,6 +431,9 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             return Ok(JsonValue::Object(members));
         }
+        // A set of the keys seen so far keeps the duplicate check linear in the member
+        // count; scanning `members` instead is quadratic on a hostile many-key object.
+        let mut seen = HashSet::new();
         loop {
             self.skip_ws()?;
             let key = self.parse_string()?;
@@ -435,7 +441,7 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws()?;
             let value = self.parse_value()?;
-            if members.iter().any(|(k, _)| *k == key) {
+            if !seen.insert(key.clone()) {
                 return Err(self.error(&format!("duplicate object key \"{key}\"")));
             }
             members.push((key, value));
@@ -518,11 +524,14 @@ impl<'a> Parser<'a> {
                 }
                 _ => {
                     // Re-synchronize on UTF-8 boundaries: walk back one byte and take the
-                    // full character from the source text.
+                    // full character from the source text. Only that character is
+                    // decoded, so a string costs time linear in its own length.
                     let start = self.pos - 1;
-                    let text = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("non-empty by construction");
+                    let c = self
+                        .text
+                        .get(start..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.error("invalid UTF-8 in string"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.error("unescaped control character in string"));
                     }
@@ -932,6 +941,24 @@ mod tests {
             JsonValue::parse(&past_cap),
             Err(ScenarioError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn many_key_objects_parse_in_linear_time() {
+        // 100k distinct keys took tens of seconds while the duplicate check scanned every
+        // earlier member and each string character re-validated the rest of the input;
+        // parsing linearly, it takes milliseconds, far under the bound.
+        let keys: Vec<String> = (0..100_000).map(|i| format!("\"k{i}\": 0")).collect();
+        let text = format!("{{{}}}", keys.join(", "));
+        let start = std::time::Instant::now();
+        let v = JsonValue::parse(&text).unwrap();
+        assert_eq!(v.as_object().unwrap().len(), 100_000);
+        let with_duplicate = format!("{{{}, \"k0\": 1}}", keys.join(", "));
+        assert!(matches!(
+            JsonValue::parse(&with_duplicate),
+            Err(ScenarioError::Parse { .. })
+        ));
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
     }
 
     #[test]
