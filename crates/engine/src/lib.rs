@@ -22,6 +22,10 @@
 //!   pool, each on its own RNG stream derived with the workspace's single
 //!   [`stream_rng`](sfo_search::experiment::stream_rng) rule — results are independent
 //!   of the worker count, of stealing order, and of the shard count.
+//! * [`partition`]: the workspace's one rule for dividing work — `total` items into
+//!   `parts` contiguous near-equal ranges ([`partition::range`]) with O(1) ownership
+//!   ([`partition::owner`]). Scheduler queues, shard ranges, and dispatcher job ranges
+//!   are all this rule.
 //! * [`placed`]: the cross-host traversal state machine behind placed execution — a
 //!   suspended search ([`PlacedState`]) moves between shard hosts as a visited-bitset
 //!   delta plus frontier plus raw RNG state, and each host resumes it with the
@@ -50,18 +54,19 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod partition;
 pub mod placed;
 pub mod scheduler;
 pub mod sharded;
 
 pub use batch::{
     average_per_ttl, batched_rw_normalized_to_nf, batched_rw_normalized_to_nf_range,
-    batched_ttl_sweep, batched_ttl_sweep_range, job_rng, run_batch_scoped,
-    run_batch_scoped_with_scratch, run_queries, run_queries_offset, run_queries_serial,
-    AlgorithmTable, QueryBatch, QueryJob, BATCH_STREAM_LABEL,
+    batched_ttl_sweep, batched_ttl_sweep_range, job_rng, run_batch_scoped_with_scratch,
+    run_queries, run_queries_offset, run_queries_serial, AlgorithmTable, QueryBatch, QueryJob,
+    BATCH_STREAM_LABEL,
 };
 pub use placed::{
     placed_advance, placed_start, PlacedAlgorithm, PlacedState, PlacedStep, StepStats, NO_NODE,
 };
-pub use scheduler::{execute, execute_with_scratch, EngineConfig, WorkerPool};
+pub use scheduler::{execute, execute_with_scratch, EngineConfig, WorkerPool, MAX_WORKERS};
 pub use sharded::{BoundaryEdge, BoundaryTable, CsrShard, ShardedCsr};

@@ -2,28 +2,29 @@
 //!
 //! Batches in this workspace are large sets of small, fully independent jobs (one search
 //! or lookup each, with its own derived RNG stream), so the scheduler is built around
-//! contiguous job ranges: the batch is split into one range per worker, a worker pops
-//! jobs from the front of its own range, and a worker that runs dry steals the back half
-//! of the fullest remaining range. Ranges live behind plain mutexes — a job costs
-//! microseconds to milliseconds, so queue operations are noise — and results are keyed
-//! by job index, which makes the output order (and, because every job derives its own
-//! RNG from its index, every result) independent of the worker count and of who stole
-//! what.
+//! contiguous job ranges: the batch is split into one range per worker by the
+//! workspace's partition rule ([`crate::partition::range`]), a worker pops jobs from the
+//! front of its own range, and a worker that runs dry steals the back half of the
+//! fullest remaining range. Ranges live behind plain mutexes — a job costs microseconds
+//! to milliseconds, so queue operations are noise — and results are keyed by job index,
+//! which makes the output order (and, because every job derives its own RNG from its
+//! index, every result) independent of the worker count and of who stole what.
 //!
-//! Two frontends share the stealing core:
+//! The stealing core has one pooled and one scoped entry point:
 //!
-//! * [`WorkerPool`] — a persistent pool: threads are spawned once and reused across
-//!   batches, the shape a long-lived query-serving process wants. Jobs must be
-//!   `'static` (share state via `Arc`).
-//! * [`execute`] — a scoped one-shot run for jobs that borrow local state (the churn
-//!   simulator's query batches borrow the live overlay, which cannot be `Arc`'d away).
+//! * [`WorkerPool::run_with_scratch`] — a persistent pool: threads are spawned once and
+//!   reused across batches, the shape a long-lived query-serving process wants. Jobs
+//!   must be `'static` (share state via `Arc`).
+//! * [`execute_with_scratch`] — a scoped one-shot run for jobs that borrow local state
+//!   (the churn simulator's query batches borrow the live overlay, which cannot be
+//!   `Arc`'d away). [`execute`] is the same run for jobs that need no arena, such as
+//!   the scenario runner's `(curve, realization)` tasks.
 //!
-//! Both frontends come in a `_with_scratch` flavor ([`WorkerPool::run_with_scratch`],
-//! [`execute_with_scratch`]) that hands every job a per-worker [`SearchScratch`] arena:
-//! each worker thread owns exactly one arena for its whole lifetime and reuses it across
-//! jobs and batches, so the hot path allocates nothing per query. The arena is pure
-//! workspace memory — it never feeds the job's RNG stream — so outcomes stay
-//! byte-identical to the allocate-fresh paths.
+//! Both hand every job a per-worker [`SearchScratch`] arena: each worker thread owns
+//! exactly one arena for its whole lifetime and reuses it across jobs and batches, so
+//! the hot path allocates nothing per query. The arena is pure workspace memory — it
+//! never feeds the job's RNG stream — so outcomes stay byte-identical to a serial loop
+//! that allocates fresh scratch per job.
 //!
 //! The persistent pool carries telemetry (an `sfo-obs` [`Registry`], see
 //! [`WorkerPool::with_metrics`]): jobs executed, steals, per-worker queue depths, and
@@ -31,8 +32,10 @@
 //! passes through — it never touches a job's RNG stream and never reorders work, so a
 //! metered pool's results are byte-identical to an unmetered one's.
 
+use crate::partition;
 use sfo_obs::{Counter, Histogram, PhaseTimer, Registry};
 use sfo_search::SearchScratch;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -56,6 +59,12 @@ impl EngineConfig {
     }
 }
 
+/// The most workers any spec, flag, or connection count may ask for. Every worker is
+/// an OS thread (and every load-test connection costs a socket plus four threads), so
+/// a larger fan-out is a typo rather than a deployment: scenario and workload specs
+/// refuse it at validation and `sfo serve` refuses it before spawning its pool.
+pub const MAX_WORKERS: usize = 256;
+
 /// Resolves a requested worker count (0 = all available cores) to at least 1.
 pub(crate) fn resolve_workers(requested: usize) -> usize {
     if requested == 0 {
@@ -70,32 +79,19 @@ pub(crate) fn resolve_workers(requested: usize) -> usize {
 // ---------------------------------------------------------------------------------------
 // The stealing core, shared by the persistent pool and the scoped executor.
 
-/// Per-worker job ranges over `0..jobs`, contiguous and near-equal.
-fn split_ranges(jobs: usize, workers: usize) -> Vec<Mutex<(usize, usize)>> {
-    let base = jobs / workers;
-    let big = jobs % workers;
-    let mut start = 0;
+/// One stealing queue per worker, seeded with its [`partition::range`] of `0..jobs`.
+fn queues(jobs: usize, workers: usize) -> Vec<Mutex<Range<usize>>> {
     (0..workers)
-        .map(|w| {
-            let len = base + usize::from(w < big);
-            let range = (start, start + len);
-            start += len;
-            Mutex::new(range)
-        })
+        .map(|w| Mutex::new(partition::range(jobs, workers, w)))
         .collect()
 }
 
 /// Claims the next job for worker `me`: the front of its own range, or — once that runs
 /// dry — the back half of the fullest other range. Returns `None` when no jobs remain;
 /// the flag is true when the job was stolen rather than popped from `me`'s own range.
-fn claim(queues: &[Mutex<(usize, usize)>], me: usize) -> Option<(usize, bool)> {
-    {
-        let mut own = queues[me].lock().expect("queue lock");
-        if own.0 < own.1 {
-            let job = own.0;
-            own.0 += 1;
-            return Some((job, false));
-        }
+fn claim(queues: &[Mutex<Range<usize>>], me: usize) -> Option<(usize, bool)> {
+    if let Some(job) = queues[me].lock().expect("queue lock").next() {
+        return Some((job, false));
     }
     loop {
         // Pick the victim with the most remaining work.
@@ -104,30 +100,28 @@ fn claim(queues: &[Mutex<(usize, usize)>], me: usize) -> Option<(usize, bool)> {
             if victim == me {
                 continue;
             }
-            let queue = queue.lock().expect("queue lock");
-            let len = queue.1 - queue.0;
+            let len = queue.lock().expect("queue lock").len();
             if len > 0 && best.is_none_or(|(_, l)| len > l) {
                 best = Some((victim, len));
             }
         }
         let (victim, _) = best?;
         // Re-lock and take the back half (the range may have shrunk in between).
-        let (start, end) = {
+        let stolen = {
             let mut queue = queues[victim].lock().expect("queue lock");
-            let len = queue.1 - queue.0;
+            let len = queue.len();
             if len == 0 {
                 continue; // someone drained it first; rescan
             }
             let take = len.div_ceil(2);
-            queue.1 -= take;
-            (queue.1, queue.1 + take)
+            queue.end -= take;
+            queue.end..queue.end + take
         };
         // Run the first stolen job now; the rest refill our own queue.
-        if end - start > 1 {
-            let mut own = queues[me].lock().expect("queue lock");
-            *own = (start + 1, end);
+        if stolen.len() > 1 {
+            *queues[me].lock().expect("queue lock") = stolen.start + 1..stolen.end;
         }
-        return Some((start, true));
+        return Some((stolen.start, true));
     }
 }
 
@@ -169,7 +163,7 @@ where
         let mut scratch = SearchScratch::new();
         return (0..jobs).map(|i| job(i, &mut scratch)).collect();
     }
-    let queues = split_ranges(jobs, workers);
+    let queues = queues(jobs, workers);
     let mut chunks: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
         let queues = &queues;
         let job = &job;
@@ -219,7 +213,7 @@ struct Batch {
     id: u64,
     runner: BatchRunner,
     /// The per-worker stealing queues of this batch.
-    queues: Arc<Vec<Mutex<(usize, usize)>>>,
+    queues: Arc<Vec<Mutex<Range<usize>>>>,
     /// Jobs not yet completed; the worker finishing the last one signals `done`.
     pending: Arc<AtomicUsize>,
     /// First panic payload caught from a job; re-thrown by the submitter. Catching the
@@ -283,8 +277,8 @@ struct PoolShared {
 ///
 /// Threads are spawned once at construction and reused for every batch — the shape a
 /// long-lived query-serving process wants, and what makes per-batch latency independent
-/// of thread spawn cost. Batches are submitted through [`WorkerPool::run`] (or the
-/// typed search frontend in [`crate::batch`]); any number of threads may submit
+/// of thread spawn cost. Batches are submitted through [`WorkerPool::run_with_scratch`]
+/// (or the typed search frontend in [`crate::batch`]); any number of threads may submit
 /// concurrently — each submission joins the active batch set and workers drain the set
 /// in submission order, so a snapshot-serving daemon can fan several clients' batches
 /// over one pool — and results come back in job order regardless of which worker ran
@@ -296,7 +290,7 @@ struct PoolShared {
 /// use sfo_engine::{EngineConfig, WorkerPool};
 ///
 /// let pool = WorkerPool::new(EngineConfig::with_workers(4));
-/// let squares = pool.run(10, |i| i * i);
+/// let squares = pool.run_with_scratch(10, |i, _| i * i);
 /// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49, 64, 81]);
 /// ```
 pub struct WorkerPool {
@@ -361,12 +355,18 @@ impl WorkerPool {
     }
 
     /// Runs `jobs` independent jobs across the pool and returns the results in job
-    /// order.
+    /// order, handing each job its worker's [`SearchScratch`] arena.
     ///
     /// The job closure must be `'static` (share state via `Arc`); use [`execute`] for
     /// jobs that borrow. Batches of at most one job (or on a single-worker pool) run
     /// inline on the calling thread. Results are independent of the worker count as long
     /// as each job is a pure function of its index.
+    ///
+    /// Every pool thread owns exactly one arena for its whole lifetime and hands it to
+    /// each job it runs, across jobs *and* across batches — the hot path of a long-lived
+    /// query-serving process allocates no per-query scratch. Jobs must treat the arena
+    /// as a pure workspace (reset before use, never feeding RNG draws), which keeps
+    /// results byte-identical to a serial loop.
     ///
     /// Submissions from different threads run concurrently: each batch joins the pool's
     /// active set, workers prefer earlier submissions and steal into later ones, and
@@ -377,25 +377,6 @@ impl WorkerPool {
     /// Re-raises the first panic any job raised: the unwind is caught on the worker (so
     /// the batch still drains and the pool stays usable for later batches) and resumed
     /// on the calling thread once the batch is done.
-    pub fn run<T, F>(&self, jobs: usize, job: F) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: Fn(usize) -> T + Send + Sync + 'static,
-    {
-        self.run_with_scratch(jobs, move |i, _| job(i))
-    }
-
-    /// [`WorkerPool::run`] with a per-worker [`SearchScratch`] arena.
-    ///
-    /// Every pool thread owns exactly one arena for its whole lifetime and hands it to
-    /// each job it runs, across jobs *and* across batches — the hot path of a long-lived
-    /// query-serving process allocates no per-query scratch. Jobs must treat the arena
-    /// as a pure workspace (reset before use, never feeding RNG draws), which keeps
-    /// results byte-identical to [`WorkerPool::run`] and to a serial loop.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`WorkerPool::run`].
     pub fn run_with_scratch<T, F>(&self, jobs: usize, job: F) -> Vec<T>
     where
         T: Send + 'static,
@@ -425,10 +406,10 @@ impl WorkerPool {
         let pending = Arc::new(AtomicUsize::new(jobs));
         let panic_slot = Arc::new(Mutex::new(None));
 
-        let queues = Arc::new(split_ranges(jobs, self.workers));
+        let queues = Arc::new(queues(jobs, self.workers));
         for queue in queues.iter() {
-            let (start, end) = *queue.lock().expect("queue lock");
-            metrics.queue_depth.record((end - start) as u64);
+            let depth = queue.lock().expect("queue lock").len();
+            metrics.queue_depth.record(depth as u64);
         }
 
         {
@@ -541,22 +522,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_ranges_cover_everything_contiguously() {
-        for (jobs, workers) in [(10usize, 3usize), (7, 7), (3, 8), (100, 4), (1, 1)] {
-            let queues = split_ranges(jobs, workers);
-            assert_eq!(queues.len(), workers);
-            let mut expected = 0;
-            for queue in &queues {
-                let (start, end) = *queue.lock().unwrap();
-                assert_eq!(start, expected);
-                assert!(end >= start);
-                expected = end;
-            }
-            assert_eq!(expected, jobs);
-        }
-    }
-
-    #[test]
     fn scoped_execute_returns_results_in_job_order() {
         let doubled = execute(4, 100, |i| i * 2);
         assert_eq!(doubled.len(), 100);
@@ -609,7 +574,7 @@ mod tests {
         let pool = WorkerPool::new(EngineConfig::with_workers(3));
         assert_eq!(pool.workers(), 3);
         for round in 0..5usize {
-            let out = pool.run(50, move |i| i + round);
+            let out = pool.run_with_scratch(50, move |i, _| i + round);
             assert_eq!(out, (0..50).map(|i| i + round).collect::<Vec<_>>());
         }
     }
@@ -617,14 +582,14 @@ mod tests {
     #[test]
     fn pool_handles_tiny_batches_inline() {
         let pool = WorkerPool::new(EngineConfig::with_workers(4));
-        assert_eq!(pool.run(0, |i| i), Vec::<usize>::new());
-        assert_eq!(pool.run(1, |_| 42), vec![42]);
+        assert_eq!(pool.run_with_scratch(0, |i, _| i), Vec::<usize>::new());
+        assert_eq!(pool.run_with_scratch(1, |_, _| 42), vec![42]);
     }
 
     #[test]
     fn pool_results_match_scoped_execute() {
         let pool = WorkerPool::new(EngineConfig::with_workers(4));
-        let from_pool = pool.run(120, |i| (i as u64).rotate_left(7));
+        let from_pool = pool.run_with_scratch(120, |i, _| (i as u64).rotate_left(7));
         let from_scope = execute(2, 120, |i| (i as u64).rotate_left(7));
         assert_eq!(from_pool, from_scope);
     }
@@ -633,7 +598,7 @@ mod tests {
     fn pool_propagates_job_panics_and_stays_usable() {
         let pool = WorkerPool::new(EngineConfig::with_workers(3));
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(16, |i| {
+            pool.run_with_scratch(16, |i, _| {
                 if i == 7 {
                     panic!("job 7 exploded");
                 }
@@ -644,7 +609,7 @@ mod tests {
         let message = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(message, "job 7 exploded");
         // The batch drained and the pool (including its submit turn) is intact.
-        assert_eq!(pool.run(5, |i| i * 2), vec![0, 2, 4, 6, 8]);
+        assert_eq!(pool.run_with_scratch(5, |i, _| i * 2), vec![0, 2, 4, 6, 8]);
     }
 
     #[test]
@@ -658,7 +623,8 @@ mod tests {
                 .map(|t| {
                     scope.spawn(move || {
                         for round in 0..3usize {
-                            let out = pool.run(40, move |i| i * 31 + t * 1000 + round);
+                            let out =
+                                pool.run_with_scratch(40, move |i, _| i * 31 + t * 1000 + round);
                             let expected: Vec<usize> =
                                 (0..40).map(|i| i * 31 + t * 1000 + round).collect();
                             assert_eq!(out, expected, "thread {t} round {round}");
@@ -671,7 +637,7 @@ mod tests {
             }
         });
         // The pool is still healthy afterwards.
-        assert_eq!(pool.run(4, |i| i), vec![0, 1, 2, 3]);
+        assert_eq!(pool.run_with_scratch(4, |i, _| i), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -687,7 +653,8 @@ mod tests {
             let serial = &serial;
             for _ in 0..3 {
                 scope.spawn(move || {
-                    let got = pool.run(100, |i| (i as u64).wrapping_mul(0x1234_5677));
+                    let got =
+                        pool.run_with_scratch(100, |i, _| (i as u64).wrapping_mul(0x1234_5677));
                     assert_eq!(&got, serial);
                 });
             }
@@ -703,7 +670,7 @@ mod tests {
     #[test]
     fn pool_shuts_down_cleanly_on_drop() {
         let pool = WorkerPool::new(EngineConfig::with_workers(2));
-        let _ = pool.run(10, |i| i);
+        let _ = pool.run_with_scratch(10, |i, _| i);
         drop(pool); // must not hang or leak threads
     }
 
@@ -712,9 +679,9 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let pool = WorkerPool::with_metrics(EngineConfig::with_workers(3), Arc::clone(&registry));
         for _ in 0..4 {
-            let _ = pool.run(25, |i| i);
+            let _ = pool.run_with_scratch(25, |i, _| i);
         }
-        let _ = pool.run(1, |i| i); // inline path must be counted too
+        let _ = pool.run_with_scratch(1, |i, _| i); // inline path must be counted too
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("engine.jobs"), Some(101));
         assert_eq!(snapshot.counter("engine.batches"), Some(5));
@@ -733,8 +700,8 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let observed = WorkerPool::with_metrics(EngineConfig::with_workers(4), registry);
         let plain = WorkerPool::new(EngineConfig::with_workers(2));
-        let a = observed.run(120, |i| (i as u64).wrapping_mul(0x9E37_79B9));
-        let b = plain.run(120, |i| (i as u64).wrapping_mul(0x9E37_79B9));
+        let a = observed.run_with_scratch(120, |i, _| (i as u64).wrapping_mul(0x9E37_79B9));
+        let b = plain.run_with_scratch(120, |i, _| (i as u64).wrapping_mul(0x9E37_79B9));
         assert_eq!(a, b);
     }
 }

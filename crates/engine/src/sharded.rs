@@ -17,6 +17,7 @@
 //! is plain owned arrays, hence `Send + Sync`: a query batch fans out over one shared
 //! `ShardedCsr` from any number of worker threads.
 
+use crate::partition;
 use serde::{Deserialize, Serialize};
 use sfo_graph::snapshot::{BoundaryRecord, ShardRecord, SnapshotError, SnapshotFile};
 use sfo_graph::{CsrGraph, Graph, GraphView, NodeId};
@@ -148,15 +149,13 @@ pub struct ShardedCsr {
     /// owned; after [`ShardedCsr::load_mmap`] the arrays are borrowed from a read-only
     /// file mapping, with identical values and neighbor order either way.
     csr: CsrGraph,
-    /// The partition, ordered by node range.
+    /// The [`partition`] of the node ids, ordered by node range.
     shards: Vec<CsrShard>,
-    /// Shards `0 .. big_shards` hold `base + 1` nodes; the rest hold `base`.
-    base: usize,
-    big_shards: usize,
 }
 
 impl ShardedCsr {
-    /// Partitions a borrowed snapshot into `shards` contiguous node-id ranges.
+    /// Partitions a borrowed snapshot into `shards` contiguous node-id ranges — shard
+    /// `s` owns [`partition::range`]`(node_count, shards, s)`.
     ///
     /// `shards` is clamped to `[1, node_count]` (an empty graph yields one empty shard),
     /// so any requested count is safe, including counts that do not divide the node
@@ -176,44 +175,34 @@ impl ShardedCsr {
         let node_count = csr.node_count();
         let (offsets, targets) = csr.raw_parts();
         let shard_count = shards.clamp(1, node_count.max(1));
-        let base = node_count / shard_count;
-        let big_shards = node_count % shard_count;
-
-        let mut built = Vec::with_capacity(shard_count);
-        let mut start = 0usize;
-        for s in 0..shard_count {
-            let len = base + usize::from(s < big_shards);
-            let mut boundary = Vec::new();
-            for node in start..start + len {
-                let row = &targets[offsets[node] as usize..offsets[node + 1] as usize];
-                for &neighbor in row {
-                    let target_shard = shard_of(neighbor.index(), base, big_shards);
-                    if target_shard != s {
-                        boundary.push(BoundaryEdge {
-                            source: NodeId::new(node),
-                            target: neighbor,
-                            target_shard,
-                        });
+        let built = (0..shard_count)
+            .map(|s| {
+                let nodes = partition::range(node_count, shard_count, s);
+                let mut boundary = Vec::new();
+                for node in nodes.clone() {
+                    let row = &targets[offsets[node] as usize..offsets[node + 1] as usize];
+                    for &neighbor in row {
+                        let target_shard =
+                            partition::owner(neighbor.index(), node_count, shard_count);
+                        if target_shard != s {
+                            boundary.push(BoundaryEdge {
+                                source: NodeId::new(node),
+                                target: neighbor,
+                                target_shard,
+                            });
+                        }
                     }
                 }
-            }
-            built.push(CsrShard {
-                start,
-                end: start + len,
-                targets_start: offsets[start] as usize,
-                targets_end: offsets[start + len] as usize,
-                boundary: BoundaryTable { edges: boundary },
-            });
-            start += len;
-        }
-        debug_assert_eq!(start, node_count);
-
-        ShardedCsr {
-            csr,
-            shards: built,
-            base,
-            big_shards,
-        }
+                CsrShard {
+                    start: nodes.start,
+                    end: nodes.end,
+                    targets_start: offsets[nodes.start] as usize,
+                    targets_end: offsets[nodes.end] as usize,
+                    boundary: BoundaryTable { edges: boundary },
+                }
+            })
+            .collect();
+        ShardedCsr { csr, shards: built }
     }
 
     /// Freezes a mutable graph and partitions the snapshot, moving its arrays straight
@@ -254,7 +243,7 @@ impl ShardedCsr {
             "node {node} out of bounds for a {}-node sharded snapshot",
             self.node_count()
         );
-        shard_of(node.index(), self.base, self.big_shards)
+        partition::owner(node.index(), self.node_count(), self.shard_count())
     }
 
     /// Returns the total number of directed cross-shard entries divided by two — i.e.
@@ -416,19 +405,6 @@ impl ShardedCsr {
             });
         }
         Ok(rebuilt)
-    }
-}
-
-/// O(1) shard lookup: the first `big_shards` shards hold `base + 1` nodes, the rest
-/// `base`. Only used off the hot path (boundary construction, [`ShardedCsr::shard_of`]).
-#[inline]
-fn shard_of(index: usize, base: usize, big_shards: usize) -> usize {
-    let cut = big_shards * (base + 1);
-    if index < cut {
-        index / (base + 1)
-    } else {
-        // Only reachable when base > 0: with base == 0 every node lives in a big shard.
-        big_shards + (index - cut) / base
     }
 }
 

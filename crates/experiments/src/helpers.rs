@@ -23,8 +23,8 @@ pub const BINS_PER_DECADE: usize = 8;
 /// Derives the RNG for realization `index` of a generator labelled by `salt`.
 ///
 /// Delegates to [`stream_rng`], the workspace's single stream-derivation rule, so
-/// realization streams here, worker-thread streams in `sfo-search`, and scenario-runner
-/// streams in `sfo-scenario` are seeded identically.
+/// realization streams here, scenario-runner streams in `sfo-scenario`, and per-job
+/// batch streams in `sfo-engine` are seeded identically.
 pub fn realization_rng(seed: u64, salt: u64, index: usize) -> StdRng {
     stream_rng(seed, salt, index)
 }

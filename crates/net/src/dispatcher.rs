@@ -4,42 +4,35 @@
 //! [`RemoteSweepExecutor`] seam — the piece [`remote_runner`] installs into a
 //! [`ScenarioRunner`] so that a spec with `sweep.workers` set executes against
 //! `sfo serve` daemons. The split is mechanical: `W` workers get `W` contiguous,
-//! near-equal ranges of the `ttls × searches` grid (the same partition rule as the
-//! engine's in-process queues), each worker runs its range with per-job streams keyed
-//! by *global* index, and the slices concatenate in index order. Determinism therefore
-//! does not depend on the dispatcher at all — any split of the grid yields the same
-//! bytes; what the dispatcher adds is the refusal machinery (identity handshake, slice
-//! length checks) that turns deployment mistakes into errors instead of wrong data.
+//! near-equal ranges of the `ttls × searches` grid (the engine's [`partition::range`],
+//! the rule behind its in-process queues too), each worker runs its range with per-job
+//! streams keyed by *global* index, and the slices concatenate in index order.
+//! Determinism therefore does not depend on the dispatcher at all — any split of the
+//! grid yields the same bytes; what the dispatcher adds is the refusal machinery
+//! (identity handshake, slice length checks) that turns deployment mistakes into
+//! errors instead of wrong data.
 
 use crate::client::WorkerClient;
 use crate::message::{BatchRequest, FrontierResult, WHOLE_SNAPSHOT};
-use crate::placed::{placed_algorithm, shard_of, shard_payload, sweep_job_state};
+use crate::placed::{placed_algorithm, shard_payload, sweep_job_state};
 use crate::NetError;
-use sfo_engine::QueryBatch;
+use sfo_engine::{partition, QueryBatch};
 use sfo_graph::snapshot::SnapshotFile;
 use sfo_obs::{PhaseTimer, Registry};
 use sfo_scenario::{
     RemoteSweepExecutor, RemoteSweepRequest, ScenarioError, ScenarioRunner, SearchSpec,
 };
 use sfo_search::SearchOutcome;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// Splits `total` jobs into `parts` contiguous near-equal ranges (sizes differ by at
-/// most one; earlier ranges take the remainder), skipping empty ranges.
-fn split_ranges(total: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.max(1);
-    let base = total / parts;
-    let big = total % parts;
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = 0;
-    for p in 0..parts {
-        let len = base + usize::from(p < big);
-        if len > 0 {
-            ranges.push((start, start + len));
-        }
-        start += len;
-    }
-    ranges
+/// The non-empty [`partition::range`]s of `total` jobs over `workers` workers, in
+/// order. With more workers than jobs, the surplus workers (the list's tail) get none.
+fn job_ranges(total: usize, workers: usize) -> Vec<Range<usize>> {
+    (0..workers)
+        .map(|w| partition::range(total, workers, w))
+        .filter(|range| !range.is_empty())
+        .collect()
 }
 
 /// Executes [`RemoteSweepRequest`]s against `sfo serve` workers.
@@ -127,29 +120,29 @@ fn dispatch_sweep_metered(
         return dispatch_placed(request, metrics);
     }
     let total = request.job_count();
-    let ranges = split_ranges(total, request.workers.len());
+    let ranges = job_ranges(total, request.workers.len());
     let slices = dispatch_slices(
         &request.workers,
         request.identity,
         &ranges,
         metrics,
-        |&(start, end)| BatchRequest::SweepRange {
+        |range| BatchRequest::SweepRange {
             seed: request.seed,
-            start: start as u64,
-            end: end as u64,
+            start: range.start as u64,
+            end: range.end as u64,
             searches_per_point: request.searches_per_point as u64,
             ttls: request.ttls.clone(),
             search: request.search.clone(),
         },
     )?;
-    Ok(merge(ranges.iter().map(|r| r.1 - r.0), slices))
+    Ok(merge(ranges.iter().map(Range::len), slices))
 }
 
 /// Placed execution of one sweep grid: worker `i` holds shard `i` of
 /// `workers.len()`, every job is injected at the worker owning its source node, and
 /// a traversal needing a foreign row hops between workers as a forwarded frontier.
 ///
-/// Setup first ships each worker exactly its [`crate::placed::shard_range`] slice
+/// Setup first ships each worker exactly its [`partition::range`] slice
 /// (cut from the locally-read snapshot file) — or, for a worker already announcing a
 /// shard index (`sfo serve --shard`), verifies the announced coordinates and refuses
 /// a worker holding the wrong shard. The job loop then routes each suspended state
@@ -225,9 +218,9 @@ fn dispatch_placed(
                             // Route to the owner of the row the search needs
                             // next; a cursor-less (finished-flood) state can
                             // complete anywhere.
-                            let shard = state
-                                .cursor()
-                                .map_or(0, |c| shard_of(c as usize, node_count, shard_count));
+                            let shard = state.cursor().map_or(0, |c| {
+                                partition::owner(c as usize, node_count, shard_count)
+                            });
                             let client = match &mut clients[shard] {
                                 Some(client) => client,
                                 slot => slot.insert(connect_verified(
@@ -287,16 +280,16 @@ pub fn dispatch_queries(
     if workers.is_empty() {
         return Err(NetError::protocol("no workers to dispatch to"));
     }
-    let ranges = split_ranges(batch.len(), workers.len());
-    let slices = dispatch_slices(workers, identity, &ranges, None, |&(start, end)| {
+    let ranges = job_ranges(batch.len(), workers.len());
+    let slices = dispatch_slices(workers, identity, &ranges, None, |range| {
         BatchRequest::Queries {
             seed,
-            index_offset: start as u64,
+            index_offset: range.start as u64,
             algorithms: algorithms.to_vec(),
-            batch: QueryBatch::from_jobs(batch.jobs()[start..end].to_vec()),
+            batch: QueryBatch::from_jobs(batch.jobs()[range.clone()].to_vec()),
         }
     })?;
-    Ok(merge(ranges.iter().map(|r| r.1 - r.0), slices))
+    Ok(merge(ranges.iter().map(Range::len), slices))
 }
 
 /// Ships one request per range to one worker per range, concurrently, and collects the
@@ -305,12 +298,12 @@ pub fn dispatch_queries(
 fn dispatch_slices(
     workers: &[String],
     identity: u64,
-    ranges: &[(usize, usize)],
+    ranges: &[Range<usize>],
     metrics: Option<&Registry>,
-    request_for: impl Fn(&(usize, usize)) -> BatchRequest + Sync,
+    request_for: impl Fn(&Range<usize>) -> BatchRequest + Sync,
 ) -> Result<Vec<Vec<SearchOutcome>>, NetError> {
     // More workers than non-empty ranges leaves the tail of the list idle.
-    let assignments: Vec<(&String, &(usize, usize))> = workers.iter().zip(ranges).collect();
+    let assignments: Vec<(&String, &Range<usize>)> = workers.iter().zip(ranges).collect();
     let results: Vec<Result<Vec<SearchOutcome>, NetError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = assignments
             .iter()
@@ -324,7 +317,7 @@ fn dispatch_slices(
                         timer.observe(&registry.histogram("dispatch.worker_micros"));
                         registry.counter("dispatch.slices").inc();
                     }
-                    let expected = range.1 - range.0;
+                    let expected = range.len();
                     if outcomes.len() != expected {
                         return Err(NetError::protocol(format!(
                             "worker {addr} returned {} outcomes for a {expected}-job slice",
@@ -361,21 +354,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ranges_are_contiguous_near_equal_and_skip_empties() {
-        for (total, parts) in [(30usize, 3usize), (31, 3), (2, 5), (0, 4), (7, 1)] {
-            let ranges = split_ranges(total, parts);
-            let mut cursor = 0;
-            for &(start, end) in &ranges {
-                assert_eq!(start, cursor);
-                assert!(end > start, "empty ranges must be skipped");
-                cursor = end;
-            }
-            assert_eq!(cursor, total);
-            if total >= parts {
-                assert_eq!(ranges.len(), parts);
-                let sizes: Vec<usize> = ranges.iter().map(|r| r.1 - r.0).collect();
-                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1);
+    fn every_split_cuts_where_the_partition_rule_does() {
+        // The rule tiles `0..total` in order with sizes differing by at most one
+        // (larger parts first), `owner` inverts `range`, and the sharded store, the
+        // placed shipments, and the dispatcher's job ranges all cut exactly there.
+        for total in 0..=64usize {
+            let csr = sfo_graph::Graph::with_nodes(total).freeze();
+            for parts in 1..=70usize {
+                let ranges: Vec<Range<usize>> = (0..parts)
+                    .map(|i| partition::range(total, parts, i))
+                    .collect();
+                let shape = format!("{total} items in {parts} parts");
+                let mut cursor = 0;
+                for range in &ranges {
+                    assert_eq!(range.start, cursor, "{shape}: {ranges:?} leaves a gap");
+                    cursor = range.end;
+                }
+                assert_eq!(cursor, total, "{shape}: {ranges:?} does not cover");
+                assert!(
+                    ranges.windows(2).all(|w| w[0].len() >= w[1].len())
+                        && ranges[0].len() - ranges[parts - 1].len() <= 1,
+                    "{shape}: uneven sizes {ranges:?}"
+                );
+                // The ranges are disjoint, so this is `owner(x) == i` iff `x` in range i.
+                for x in 0..total {
+                    let owner = partition::owner(x, total, parts);
+                    assert!(ranges[owner].contains(&x), "{shape}: owner({x}) = {owner}");
+                }
+
+                let sharded = sfo_engine::ShardedCsr::from_csr(&csr, parts);
+                let shard_count = parts.min(total.max(1));
+                assert_eq!(sharded.shard_count(), shard_count, "{shape}");
+                for (i, shard) in sharded.shards().iter().enumerate() {
+                    let expected = partition::range(total, shard_count, i);
+                    assert_eq!(shard.node_range(), expected, "{shape}: shard {i}");
+                }
+                for (i, range) in ranges.iter().enumerate() {
+                    let slice = shard_payload(&csr, 0, parts, i).slice;
+                    assert_eq!(slice.start()..slice.end(), *range, "{shape}: payload {i}");
+                }
+                let non_empty: Vec<Range<usize>> =
+                    ranges.iter().filter(|r| !r.is_empty()).cloned().collect();
+                assert_eq!(job_ranges(total, parts), non_empty, "{shape}");
             }
         }
     }

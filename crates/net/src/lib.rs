@@ -28,10 +28,10 @@
 //! * [`overlay`] — [`OverlayNode`], the `sfo overlay` daemon: one `sfo-overlay` peer
 //!   over real sockets, with the five membership messages carried one-to-one on their
 //!   own frame types.
-//! * [`placed`] — real shard placement: the canonical shard partition
-//!   ([`placed::shard_range`]/[`placed::shard_of`]), `LoadShard` shipments that give
-//!   worker `i` exactly shard `i`'s rows, and the dispatcher loop that routes every
-//!   search to the owner of the row it needs next, hopping between hosts as
+//! * [`placed`] — real shard placement over the engine's canonical partition
+//!   ([`sfo_engine::partition`]): `LoadShard` shipments that give worker `i` exactly
+//!   shard `i`'s rows, and the dispatcher loop that routes every search to the owner
+//!   of the row it needs next, hopping between hosts as
 //!   `ForwardFrontier`/`FrontierResult` frames (`sweep.placed`, `sfo serve --shard`).
 //! * [`loadtest`] — the open-loop load driver behind `sfo loadtest`: replays a
 //!   [`WorkloadSpec`](sfo_scenario::WorkloadSpec) arrival schedule against one or

@@ -100,7 +100,7 @@ pub struct Hello {
 ///
 /// Boundary tables are deliberately *not* shipped: under the canonical contiguous
 /// partition, ownership of any node is pure arithmetic on
-/// `(node, node_count, shard_count)` (see [`crate::placed::shard_range`]), so the
+/// `(node, node_count, shard_count)` (see [`sfo_engine::partition`]), so the
 /// slice alone is enough to route.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardPayload {
@@ -811,7 +811,7 @@ impl Message {
                         "shard payload: range {start}..{end} out of bounds for {node_count} nodes"
                     )));
                 }
-                let expected = crate::placed::shard_range(
+                let expected = sfo_engine::partition::range(
                     node_count,
                     shard_count as usize,
                     shard_index as usize,
@@ -969,7 +969,7 @@ mod tests {
             identity: 0xABCD_EF01_2345_6789,
             shard_index: 1,
             shard_count: 3,
-            slice: csr.extract_slice(crate::placed::shard_range(10, 3, 1)),
+            slice: csr.extract_slice(sfo_engine::partition::range(10, 3, 1)),
         }
     }
 

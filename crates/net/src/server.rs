@@ -33,7 +33,7 @@
 //!
 //! Besides the whole-snapshot mode, a worker can hold one *shard* of a placed
 //! deployment: the contiguous [`CsrSlice`] of the node range
-//! [`crate::placed::shard_range`] assigns it, installed either at startup
+//! [`sfo_engine::partition::range`] assigns it, installed either at startup
 //! (`sfo serve --shard i`, which cuts the slice out of the local snapshot file) or
 //! over the wire by a dispatcher's `LoadShard` frame. A shard host announces its
 //! shard index in `Hello` (whole-snapshot workers announce
@@ -53,6 +53,7 @@ use crate::NetError;
 use sfo_engine::{
     batched_rw_normalized_to_nf_range, batched_ttl_sweep_range, placed_advance, run_queries_offset,
     AlgorithmTable, EngineConfig, PlacedState, PlacedStep, ShardedCsr, StepStats, WorkerPool,
+    MAX_WORKERS,
 };
 use sfo_graph::snapshot::{read_identity, Provenance, SnapshotFile};
 use sfo_graph::{CsrSlice, ShardView};
@@ -73,7 +74,7 @@ pub struct ServeConfig {
     pub snapshot_path: String,
     /// Listen address: `host:port` (port 0 picks a free one) or `unix:/path`.
     pub listen: String,
-    /// Engine pool worker threads (0 = all available cores).
+    /// Engine pool worker threads (0 = all available cores; at most [`MAX_WORKERS`]).
     pub engine_workers: usize,
     /// Whole-snapshot mode: shards the loaded store is partitioned into (0 or 1 =
     /// unsharded; sharding never changes results). Shard mode (`shard_index` set):
@@ -158,7 +159,7 @@ impl Store {
                          placement (need --shards above the shard index)"
                     )));
                 }
-                let range = crate::placed::shard_range(file.csr.node_count(), shard_count, index);
+                let range = sfo_engine::partition::range(file.csr.node_count(), shard_count, index);
                 Topology::Shard {
                     slice: Arc::new(file.csr.extract_slice(range)),
                     shard_index: index as u32,
@@ -247,10 +248,16 @@ impl WorkerServer {
     ///
     /// # Errors
     ///
-    /// Returns [`NetError::Protocol`] when the snapshot cannot be served (unreadable,
-    /// corrupt, empty, provenance-less, or a `--shard` index outside the placement)
-    /// and [`NetError::Io`] when the bind fails.
+    /// Returns [`NetError::Protocol`] when `engine_workers` exceeds [`MAX_WORKERS`] or
+    /// the snapshot cannot be served (unreadable, corrupt, empty, provenance-less, or a
+    /// `--shard` index outside the placement), and [`NetError::Io`] when the bind fails.
     pub fn bind(config: &ServeConfig) -> Result<Self, NetError> {
+        if config.engine_workers > MAX_WORKERS {
+            return Err(NetError::protocol(format!(
+                "engine_workers {} exceeds the cap of {MAX_WORKERS}",
+                config.engine_workers
+            )));
+        }
         let store = Store::load(
             &config.snapshot_path,
             config.shard_count,
@@ -704,7 +711,7 @@ fn serve_frontier(
             };
             return Err(NetError::protocol(format!(
                 "frontier cursor {cursor} is not owned by {place}; route it to shard {}",
-                crate::placed::shard_of(
+                sfo_engine::partition::owner(
                     cursor as usize,
                     view.node_count(),
                     match &store.topology {
@@ -932,6 +939,28 @@ mod tests {
         .unwrap();
         let metrics = Arc::clone(server.metrics());
         (server.spawn(), metrics)
+    }
+
+    #[test]
+    fn engine_workers_above_the_cap_are_refused_before_any_thread_spawns() {
+        let path = snapshot_fixture("cap");
+        let refused = WorkerServer::bind(&ServeConfig {
+            snapshot_path: path,
+            listen: "127.0.0.1:0".to_string(),
+            engine_workers: MAX_WORKERS + 1,
+            shard_count: 1,
+            shard_index: None,
+            mmap: false,
+            queue_bound: 0,
+        });
+        match refused {
+            Err(NetError::Protocol { reason }) => {
+                assert!(reason.contains("engine_workers"), "{reason}");
+                assert!(reason.contains(&MAX_WORKERS.to_string()), "{reason}");
+            }
+            Err(other) => panic!("expected a protocol refusal, got {other}"),
+            Ok(_) => panic!("a pool above the cap must be refused"),
+        }
     }
 
     fn connect(addr: &str) -> (NetStream, Hello) {

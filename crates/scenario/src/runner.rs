@@ -28,8 +28,8 @@ use rand::RngCore;
 use sfo_analysis::histogram::log_binned_distribution;
 use sfo_analysis::Summary;
 use sfo_engine::{
-    average_per_ttl, batched_rw_normalized_to_nf, batched_ttl_sweep, EngineConfig, ShardedCsr,
-    WorkerPool,
+    average_per_ttl, batched_rw_normalized_to_nf, batched_ttl_sweep, execute, EngineConfig,
+    ShardedCsr, WorkerPool,
 };
 use sfo_graph::snapshot::{Provenance, SnapshotError, SnapshotFile, SnapshotOrigin};
 use sfo_graph::GraphView;
@@ -40,6 +40,7 @@ use sfo_search::experiment::{
 use sfo_sim::churn::{generate_trace, ChurnTraceConfig};
 use sfo_sim::simulation::{Simulation, SimulationConfig};
 use sfo_sim::trace_runner::{run_trace, TraceRunConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Stream family of the per-realization churn traces. Deliberately independent of the
@@ -203,23 +204,19 @@ impl ScenarioRunner {
         } else {
             // One task per (curve, realization); tasks are independent and individually
             // seeded, so the fan-out below cannot change any result.
-            run_tasks(
-                task_count,
-                effective_threads(sweep.threads, task_count),
-                |t| {
-                    let c = t / realizations;
-                    let realization = t % realizations;
-                    run_sweep_task(
-                        &curves[c],
-                        &labels[c],
-                        search,
-                        sweep,
-                        spec.seed,
-                        realization,
-                        self.metrics.as_deref(),
-                    )
-                },
-            )?
+            execute_until_failure(sweep.threads, task_count, |t| {
+                let c = t / realizations;
+                let realization = t % realizations;
+                run_sweep_task(
+                    &curves[c],
+                    &labels[c],
+                    search,
+                    sweep,
+                    spec.seed,
+                    realization,
+                    self.metrics.as_deref(),
+                )
+            })?
         };
 
         // Fold the per-realization outcomes into per-TTL statistics, in stream order.
@@ -289,7 +286,7 @@ impl ScenarioRunner {
         let realizations = spec.realizations;
         let threads = spec.sweep.as_ref().map_or(0, |s| s.threads);
         let task_count = curves.len() * realizations;
-        let samples = run_tasks(task_count, effective_threads(threads, task_count), |t| {
+        let samples = execute_until_failure(threads, task_count, |t| {
             let c = t / realizations;
             let mut rng = stream_rng(spec.seed, label_salt(&labels[c]), t % realizations);
             let graph = curves[c].build()?.generate(&mut rng)?;
@@ -327,29 +324,25 @@ impl ScenarioRunner {
     ) -> Result<ScenarioResult, ScenarioError> {
         let salt = label_salt(&spec.name);
         let sim = *sim;
-        let realizations = run_tasks(
-            spec.realizations,
-            effective_threads(0, spec.realizations),
-            |r| {
-                let mut rng = stream_rng(spec.seed, salt, r);
-                let report = Simulation::new(sim)?.run(&mut rng)?;
-                Ok(ChurnRealization {
-                    realization: r,
-                    queries_issued: report.queries_issued,
-                    queries_successful: report.queries_successful,
-                    query_messages: report.query_messages,
-                    success_rate: report.success_rate(),
-                    mean_query_messages: report.mean_query_messages(),
-                    mean_hops_to_find: report.mean_hops_to_find(),
-                    joins: report.joins,
-                    leaves: report.leaves,
-                    crashes: report.crashes,
-                    mean_churn_messages: report.mean_churn_messages(),
-                    final_peers: report.final_peers,
-                    samples: report.samples,
-                })
-            },
-        )?;
+        let realizations = execute_until_failure(0, spec.realizations, |r| {
+            let mut rng = stream_rng(spec.seed, salt, r);
+            let report = Simulation::new(sim)?.run(&mut rng)?;
+            Ok(ChurnRealization {
+                realization: r,
+                queries_issued: report.queries_issued,
+                queries_successful: report.queries_successful,
+                query_messages: report.query_messages,
+                success_rate: report.success_rate(),
+                mean_query_messages: report.mean_query_messages(),
+                mean_hops_to_find: report.mean_hops_to_find(),
+                joins: report.joins,
+                leaves: report.leaves,
+                crashes: report.crashes,
+                mean_churn_messages: report.mean_churn_messages(),
+                final_peers: report.final_peers,
+                samples: report.samples,
+            })
+        })?;
         Ok(ScenarioResult::Churn { realizations })
     }
 
@@ -360,31 +353,27 @@ impl ScenarioRunner {
         run_config: &TraceRunConfig,
     ) -> Result<ScenarioResult, ScenarioError> {
         let salt = label_salt(&spec.name);
-        let realizations = run_tasks(
-            spec.realizations,
-            effective_threads(0, spec.realizations),
-            |r| {
-                let mut trace_rng = stream_rng(spec.seed, TRACE_STREAM_SALT, r);
-                let trace = generate_trace(trace_config, &mut trace_rng)?;
-                let mut run_rng = stream_rng(spec.seed, salt, r);
-                let report = run_trace(run_config, &trace, &mut run_rng)?;
-                Ok(TraceRealization {
-                    realization: r,
-                    arrivals_applied: report.arrivals_applied,
-                    leaves_applied: report.leaves_applied,
-                    crashes_applied: report.crashes_applied,
-                    departures_skipped: report.departures_skipped,
-                    queries_issued: report.queries_issued,
-                    queries_successful: report.queries_successful,
-                    success_rate: report.success_rate(),
-                    query_messages: report.query_messages,
-                    control_messages: report.control_messages,
-                    final_peers: report.final_peers,
-                    worst_connectivity: report.worst_connectivity(),
-                    samples: report.samples,
-                })
-            },
-        )?;
+        let realizations = execute_until_failure(0, spec.realizations, |r| {
+            let mut trace_rng = stream_rng(spec.seed, TRACE_STREAM_SALT, r);
+            let trace = generate_trace(trace_config, &mut trace_rng)?;
+            let mut run_rng = stream_rng(spec.seed, salt, r);
+            let report = run_trace(run_config, &trace, &mut run_rng)?;
+            Ok(TraceRealization {
+                realization: r,
+                arrivals_applied: report.arrivals_applied,
+                leaves_applied: report.leaves_applied,
+                crashes_applied: report.crashes_applied,
+                departures_skipped: report.departures_skipped,
+                queries_issued: report.queries_issued,
+                queries_successful: report.queries_successful,
+                success_rate: report.success_rate(),
+                query_messages: report.query_messages,
+                control_messages: report.control_messages,
+                final_peers: report.final_peers,
+                worst_connectivity: report.worst_connectivity(),
+                samples: report.samples,
+            })
+        })?;
         Ok(ScenarioResult::Trace { realizations })
     }
 
@@ -761,92 +750,35 @@ fn record_boundary_fraction(metrics: Option<&Registry>, fraction: f64) {
     }
 }
 
-fn effective_threads(requested: usize, tasks: usize) -> usize {
-    let threads = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
-    };
-    threads.clamp(1, tasks.max(1))
-}
-
-/// Runs `count` independent tasks on `threads` workers and returns their results in task
-/// order. The first failure cancels the remaining work: every worker checks a shared
-/// flag before starting its next task, so a misconfigured curve aborts a large grid in
-/// roughly one task-length instead of burning the whole sweep. Among the failures that
-/// did run, the lowest-indexed error is returned.
-fn run_tasks<T, F>(count: usize, threads: usize, task: F) -> Result<Vec<T>, ScenarioError>
+/// Runs `count` independent tasks on the engine's scoped executor (`threads` workers,
+/// 0 = all cores) and returns their results in task order. The first failure cancels
+/// the remaining work: every task checks a shared flag before it starts, so a
+/// misconfigured curve aborts a large grid in roughly one task-length instead of
+/// burning the whole sweep. Among the failures that did run, the lowest-indexed error
+/// is returned.
+fn execute_until_failure<T, F>(
+    threads: usize,
+    count: usize,
+    task: F,
+) -> Result<Vec<T>, ScenarioError>
 where
     T: Send,
     F: Fn(usize) -> Result<T, ScenarioError> + Sync,
 {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    if threads <= 1 || count <= 1 {
-        return (0..count).map(task).collect();
-    }
-    let mut slots: Vec<Option<Result<T, ScenarioError>>> = Vec::with_capacity(count);
-    slots.resize_with(count, || None);
     let failed = AtomicBool::new(false);
-
-    let chunks = std::thread::scope(|scope| {
-        let task = &task;
-        let failed = &failed;
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut results = Vec::new();
-                    for t in (w..count).step_by(threads) {
-                        if failed.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        let result = task(t);
-                        if result.is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                        results.push((t, result));
-                    }
-                    results
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scenario worker panicked"))
-            .collect::<Vec<_>>()
+    let slots = execute(threads, count, |t| {
+        if failed.load(Ordering::Relaxed) {
+            return None;
+        }
+        let result = task(t);
+        if result.is_err() {
+            failed.store(true, Ordering::Relaxed);
+        }
+        Some(result)
     });
-    for chunk in chunks {
-        for (t, result) in chunk {
-            slots[t] = Some(result);
-        }
-    }
-    let mut first_error: Option<ScenarioError> = None;
-    let mut results = Vec::with_capacity(count);
-    for slot in slots {
-        match slot {
-            Some(Ok(value)) => results.push(value),
-            Some(Err(e)) => {
-                first_error.get_or_insert(e);
-                break;
-            }
-            // A `None` slot means the task was cancelled after an earlier failure; the
-            // error that caused the cancellation sits in a lower or later slot.
-            None => continue,
-        }
-    }
-    match first_error {
-        Some(e) => Err(e),
-        None => {
-            assert_eq!(
-                results.len(),
-                count,
-                "every task must have run when none failed"
-            );
-            Ok(results)
-        }
-    }
+    // A `None` slot was cancelled after a failure, which sits in another slot; without
+    // a failure every slot ran.
+    slots.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -1180,11 +1112,11 @@ mod tests {
     }
 
     #[test]
-    fn run_tasks_preserves_order_and_cancels_after_a_failure() {
-        let ok = run_tasks(8, 3, |t| Ok::<usize, ScenarioError>(t * 2)).unwrap();
+    fn tasks_keep_their_order_and_the_first_failure_cancels_the_rest() {
+        let ok = execute_until_failure(3, 8, |t| Ok::<usize, ScenarioError>(t * 2)).unwrap();
         assert_eq!(ok, vec![0, 2, 4, 6, 8, 10, 12, 14]);
 
-        let result: Result<Vec<usize>, ScenarioError> = run_tasks(64, 4, |t| {
+        let result: Result<Vec<usize>, ScenarioError> = execute_until_failure(4, 64, |t| {
             if t == 3 {
                 Err(ScenarioError::invalid("boom"))
             } else {
@@ -1192,6 +1124,20 @@ mod tests {
             }
         });
         assert!(matches!(result, Err(ScenarioError::InvalidSpec { .. })));
+
+        // One worker runs the tasks in order, so a failure at task 0 cancels the other
+        // 63 before any of them starts.
+        let runs = std::sync::atomic::AtomicUsize::new(0);
+        let result: Result<Vec<usize>, ScenarioError> = execute_until_failure(1, 64, |t| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            if t == 0 {
+                Err(ScenarioError::invalid("task 0"))
+            } else {
+                Ok(t)
+            }
+        });
+        assert_eq!(result, Err(ScenarioError::invalid("task 0")));
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use sfo_core::nonlinear::NonlinearPreferentialAttachment;
 use sfo_core::pa::PreferentialAttachment;
 use sfo_core::ucm::UncorrelatedConfigurationModel;
 use sfo_core::{DegreeCutoff, DynTopologyGenerator};
+use sfo_engine::MAX_WORKERS;
 use sfo_graph::{CsrGraph, GraphView};
 use sfo_overlay::sim::LiveConfig;
 use sfo_search::biased_walk::DegreeBiasedWalk;
@@ -734,10 +735,10 @@ pub struct SweepSpec {
     pub ttls: Vec<u32>,
     /// Searches (random sources) per TTL per realization.
     pub searches_per_point: usize,
-    /// Worker threads (0 = all available cores). With `batch: false` they fan
-    /// `(curve, realization)` tasks; with `batch: true` they are the engine pool fanning
-    /// searches *inside* each realization. Results are independent of this value either
-    /// way: every task or job has its own RNG stream.
+    /// Worker threads (0 = all available cores; at most [`MAX_WORKERS`]). With
+    /// `batch: false` they fan `(curve, realization)` tasks; with `batch: true` they are
+    /// the engine pool fanning searches *inside* each realization. Results are
+    /// independent of this value either way: every task or job has its own RNG stream.
     pub threads: usize,
     /// Number of contiguous node-id shards each frozen realization is partitioned into
     /// (0 or 1 = unsharded). Sharding never changes results: the sharded store reports
@@ -1115,6 +1116,12 @@ impl ScenarioSpec {
                     }
                 }
                 if let Some(sweep) = &self.sweep {
+                    if sweep.threads > MAX_WORKERS {
+                        return Err(ScenarioError::invalid(format!(
+                            "sweep: threads {} exceeds the cap of {MAX_WORKERS}",
+                            sweep.threads
+                        )));
+                    }
                     self.validate_workers(sweep)?;
                 }
                 Ok(())
@@ -1653,6 +1660,30 @@ mod tests {
             incomplete.validate(),
             Err(ScenarioError::InvalidSpec { .. })
         ));
+    }
+
+    #[test]
+    fn sweep_threads_above_the_cap_are_refused() {
+        let mut spec = ScenarioSpec::sweep(
+            "too-many-threads",
+            TopologySpec::Pa {
+                nodes: 100,
+                m: 2,
+                cutoff: None,
+            },
+            SearchSpec::Flooding,
+            SweepSpec::single(vec![2], 5),
+            1,
+            1,
+        );
+        spec.sweep.as_mut().unwrap().threads = MAX_WORKERS + 1;
+        match spec.validate() {
+            Err(ScenarioError::InvalidSpec { reason }) => {
+                assert!(reason.contains("threads"), "{reason}");
+                assert!(reason.contains(&MAX_WORKERS.to_string()), "{reason}");
+            }
+            other => panic!("expected an invalid-spec refusal, got {other:?}"),
+        }
     }
 
     #[test]

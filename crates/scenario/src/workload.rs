@@ -24,6 +24,7 @@ use crate::json::{json_map, FromJson, JsonValue, ToJson};
 use crate::spec::SearchSpec;
 use crate::ScenarioError;
 use rand::Rng;
+use sfo_engine::MAX_WORKERS;
 use sfo_search::experiment::{label_salt, stream_rng};
 
 /// Stream-family label of the arrival-time schedule.
@@ -115,7 +116,7 @@ impl WorkloadSpec {
     ///
     /// Returns [`ScenarioError::InvalidSpec`] naming the offending field: empty
     /// name, non-positive or non-finite rate/duration/period means, a Pareto shape
-    /// at or below 1, zero connections or jobs, a zero TTL, or an offered
+    /// at or below 1, zero connections or more than [`MAX_WORKERS`], zero jobs, a zero TTL, or an offered
     /// `rate × duration` above the schedule cap.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         const CTX: &str = "workload spec";
@@ -153,9 +154,10 @@ impl WorkloadSpec {
                 }
             }
         }
-        if self.connections == 0 {
+        if self.connections == 0 || self.connections > MAX_WORKERS {
             return Err(ScenarioError::invalid(format!(
-                "{CTX}: connections must be at least 1"
+                "{CTX}: connections must be in 1..={MAX_WORKERS}, got {}",
+                self.connections
             )));
         }
         if self.jobs_per_request == 0 {
@@ -426,6 +428,21 @@ mod tests {
         for (spec, what) in cases {
             let err = spec.validate().unwrap_err().to_string();
             assert!(err.contains(what), "error for {what} was: {err}");
+        }
+    }
+
+    #[test]
+    fn connections_above_the_cap_are_refused() {
+        let spec = WorkloadSpec {
+            connections: MAX_WORKERS + 1,
+            ..poisson_spec()
+        };
+        match spec.validate() {
+            Err(ScenarioError::InvalidSpec { reason }) => {
+                assert!(reason.contains("connections"), "{reason}");
+                assert!(reason.contains(&MAX_WORKERS.to_string()), "{reason}");
+            }
+            other => panic!("expected an invalid-spec refusal, got {other:?}"),
         }
     }
 

@@ -99,7 +99,7 @@ pub mod prelude {
         DegreeCutoff, DynTopologyGenerator, Locality, StubCount, TopologyError, TopologyGenerator,
     };
     pub use sfo_engine::{
-        batched_rw_normalized_to_nf, batched_ttl_sweep, placed_advance, placed_start,
+        batched_rw_normalized_to_nf, batched_ttl_sweep, partition, placed_advance, placed_start,
         BoundaryTable, CsrShard, EngineConfig, PlacedAlgorithm, PlacedState, PlacedStep,
         QueryBatch, QueryJob, ShardedCsr, StepStats, WorkerPool,
     };
@@ -110,7 +110,6 @@ pub mod prelude {
     pub use sfo_graph::{
         CsrGraph, CsrSlice, Graph, GraphError, GraphView, MultiGraph, NodeId, ShardView,
     };
-    pub use sfo_net::placed::{shard_of, shard_range};
     pub use sfo_net::{
         remote_runner, remote_runner_with_metrics, run_loadtest, LoadtestConfig, LoadtestReport,
         NetError, OverlayNode, OverlayNodeConfig, OverlayNodeHandle, RemoteDispatcher, ServeConfig,

@@ -16,7 +16,7 @@ use sfoverlay::net::message::{
 use sfoverlay::net::overlay::{OverlayMessage, PeerRef};
 use sfoverlay::net::NetError;
 use sfoverlay::prelude::{
-    shard_range, NodeId, PlacedAlgorithm, PlacedState, QueryBatch, SearchOutcome, SearchSpec,
+    partition, NodeId, PlacedAlgorithm, PlacedState, QueryBatch, SearchOutcome, SearchSpec,
 };
 
 /// A mid-flight placed search with a non-trivial visited delta and queue, so every
@@ -46,7 +46,7 @@ fn sample_shard() -> ShardPayload {
         identity: 0xABCD_EF01_2345_6789,
         shard_index: 1,
         shard_count: 3,
-        slice: csr.extract_slice(shard_range(10, 3, 1)),
+        slice: csr.extract_slice(partition::range(10, 3, 1)),
     }
 }
 

@@ -9,7 +9,7 @@ use sfoverlay::analysis::{DataPoint, DataSeries, FigureData, Summary};
 use sfoverlay::experiments::{run_experiment, Scale};
 use sfoverlay::graph::{metrics, traversal};
 use sfoverlay::prelude::*;
-use sfoverlay::search::experiment::{average_over_sources_parallel, ttl_sweep};
+use sfoverlay::search::experiment::ttl_sweep;
 use sfoverlay::sim::query::QueryMethod;
 
 fn rng(seed: u64) -> StdRng {
@@ -89,7 +89,7 @@ fn topology_search_analysis_pipeline_produces_a_figure() {
     assert!(bins.iter().all(|b| b.density > 0.0));
 }
 
-/// The parallel search runner gives the same kind of answer as the sequential one.
+/// The engine's batched sweep gives the same kind of answer as the sequential one.
 #[test]
 fn parallel_and_sequential_search_averages_agree_roughly() {
     let graph = ConfigurationModel::new(1_500, 2.6, 3)
@@ -98,7 +98,10 @@ fn parallel_and_sequential_search_averages_agree_roughly() {
         .generate(&mut rng(7))
         .unwrap();
     let sequential = ttl_sweep(&graph, &Flooding::new(), &[4], 60, &mut rng(7))[0].mean_hits;
-    let parallel = average_over_sources_parallel(&graph, &Flooding::new(), 4, 60, 4, 7).mean_hits;
+    let pool = WorkerPool::new(EngineConfig::with_workers(4));
+    let graph = std::sync::Arc::new(graph);
+    let parallel =
+        batched_ttl_sweep(&pool, &graph, Box::new(Flooding::new()), &[4], 60, 7)[0].mean_hits;
     let ratio = parallel / sequential;
     assert!(
         (0.7..=1.4).contains(&ratio),
